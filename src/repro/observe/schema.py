@@ -7,12 +7,15 @@ these schemas are the contract.  The schema tests validate real
 exporter output against them, so a format change that would break a
 consumer fails the suite instead of shipping silently.
 
-The documents are standard JSON Schema (draft 2020-12).  Validation
-uses the ``jsonschema`` package when it is importable and otherwise
-falls back to a built-in interpreter of the keyword subset these
-schemas use (``type``, ``properties``, ``required``, ``enum``,
-``const``, ``items``, ``minimum``, ``additionalProperties``,
-``oneOf``) — so the validators work, and agree, in both environments.
+The documents are standard JSON Schema (draft 2020-12).  At runtime
+they are enforced by :func:`_check`, a built-in interpreter of the
+keyword subset they use (``type``, ``properties``, ``required``,
+``enum``, ``const``, ``items``, ``minimum``, ``additionalProperties``,
+``oneOf``).  The ``jsonschema`` package is the test- and CI-time
+reference: the schema tests check every document against the
+draft 2020-12 meta-schema, pin the keyword subset, and assert that
+``_check`` and ``jsonschema`` give the same verdict on mutated
+exporter output.
 """
 
 from __future__ import annotations
@@ -408,12 +411,19 @@ FIGURE_SPEC_SCHEMA: Dict[str, Any] = {
 # validation
 # ---------------------------------------------------------------------------
 
+def _is_integer(value: Any) -> bool:
+    # Draft 2020-12: any number with a zero fractional part is an
+    # integer, so 1.0 qualifies.  bool is never a number.
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 _TYPE_CHECKS = {
     "object": lambda value: isinstance(value, dict),
     "array": lambda value: isinstance(value, list),
     "string": lambda value: isinstance(value, str),
-    "integer": lambda value: isinstance(value, int)
-    and not isinstance(value, bool),
+    "integer": _is_integer,
     "number": lambda value: isinstance(value, (int, float))
     and not isinstance(value, bool),
     "boolean": lambda value: isinstance(value, bool),
@@ -471,44 +481,30 @@ def _check(instance: Any, schema: Dict[str, Any], path: str) -> None:
             _check(item, schema["items"], f"{path}[{index}]")
 
 
-def _validate(instance: Any, schema: Dict[str, Any], label: str) -> None:
-    try:
-        import jsonschema
-    except ImportError:
-        _check(instance, schema, label)
-        return
-    try:
-        jsonschema.validate(instance, schema)
-    except jsonschema.ValidationError as error:
-        path = "/".join(str(part) for part in error.absolute_path)
-        raise SchemaError(f"{label}: {error.message}",
-                          path or label) from error
-
-
 def validate_event(record: Any) -> None:
     """Validate one events-JSONL record against :data:`EVENT_SCHEMA`."""
-    _validate(record, EVENT_SCHEMA, "event")
+    _check(record, EVENT_SCHEMA, "event")
 
 
 def validate_chrome_trace(document: Any) -> None:
     """Validate a Chrome trace document against
     :data:`CHROME_TRACE_SCHEMA`."""
-    _validate(document, CHROME_TRACE_SCHEMA, "chrome-trace")
+    _check(document, CHROME_TRACE_SCHEMA, "chrome-trace")
 
 
 def validate_telemetry_record(record: Any) -> None:
     """Validate one telemetry-JSONL record against
     :data:`TELEMETRY_SCHEMA`."""
-    _validate(record, TELEMETRY_SCHEMA, "telemetry")
+    _check(record, TELEMETRY_SCHEMA, "telemetry")
 
 
 def validate_trace_case_record(record: Any) -> None:
     """Validate one trace-case JSONL record against
     :data:`TRACE_CASE_SCHEMA`."""
-    _validate(record, TRACE_CASE_SCHEMA, "trace-case")
+    _check(record, TRACE_CASE_SCHEMA, "trace-case")
 
 
 def validate_figure_spec(document: Any) -> None:
     """Validate one rendered figure spec against
     :data:`FIGURE_SPEC_SCHEMA`."""
-    _validate(document, FIGURE_SPEC_SCHEMA, "figure-spec")
+    _check(document, FIGURE_SPEC_SCHEMA, "figure-spec")
