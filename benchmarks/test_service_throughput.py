@@ -102,7 +102,7 @@ def test_service_single_flight_throughput(benchmark, save_report):
     assert flight["cold_simulated"] == unique
     assert simulations_run() == unique
 
-    # Warm pass: nothing simulates, every request is a warm dict hit.
+    # Warm pass: nothing simulates, every request is a warm LRU hit.
     assert flight["warm_simulated"] == 0
     assert flight["warm_hits"] == CLIENTS * unique
 

@@ -192,8 +192,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch-window", type=float, default=None,
                        metavar="SECONDS",
                        help="how long the dispatcher lingers after new "
-                            "work arrives so concurrent submissions "
-                            "share one batch (default: 0.02)")
+                            "work arrives before cutting a batch "
+                            "(default: 0, so a batch starts as soon as "
+                            "the worker is idle and points arriving "
+                            "while it runs share the next one)")
     serve.add_argument("--max-batch", type=int, default=None, metavar="N",
                        help="largest number of points dispatched as one "
                             "grid call (default: 64)")
@@ -603,16 +605,16 @@ def _cmd_serve(args) -> int:
         kwargs["batch_window"] = args.batch_window
     if args.max_batch is not None:
         kwargs["max_batch"] = args.max_batch
-    service = SweepService(
-        cache=cache, jobs=args.jobs, retry=retry, telemetry=telemetry,
-        telemetry_dir=args.telemetry_dir, journal=args.journal or None,
-        max_queued_points=args.max_queued,
-        max_inflight_jobs=args.max_inflight, **kwargs,
-    )
     serve_kwargs = {}
     if args.drain_timeout is not None:
         serve_kwargs["drain_timeout"] = args.drain_timeout
     try:
+        service = SweepService(
+            cache=cache, jobs=args.jobs, retry=retry, telemetry=telemetry,
+            telemetry_dir=args.telemetry_dir, journal=args.journal or None,
+            max_queued_points=args.max_queued,
+            max_inflight_jobs=args.max_inflight, **kwargs,
+        )
         asyncio.run(serve(
             args.host, args.port, service=service,
             announce=lambda line: print(line, file=sys.stderr, flush=True),

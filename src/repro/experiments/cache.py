@@ -42,9 +42,11 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 import warnings
+from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Dict, Hashable, Optional, Union
 
 from ..config import GPUConfig
 from ..errors import KernelError
@@ -129,6 +131,63 @@ def cache_from_env() -> Optional["RunCache"]:
     if os.environ.get(CACHE_DIR_ENV):
         return RunCache(default_cache_dir())
     return None
+
+
+class LRUCache:
+    """A size-bounded, thread-safe, least-recently-used map.
+
+    The process-local result memo and trace cache of
+    :mod:`repro.experiments.runner` are instances: a long-lived process
+    (``repro serve``) reads and fills them from its event loop and its
+    batch thread at once, and they must not grow with the number of
+    distinct points it has ever seen.  ``get`` refreshes an entry's
+    recency; ``put`` evicts the least recently used entries beyond
+    ``capacity``.  ``hits`` / ``misses`` / ``evictions`` count since
+    construction (``clear`` drops entries, not counts).
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable):
+        """The entry under ``key`` (now most recent), or ``None``."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return value
+
+    def put(self, key: Hashable, value: object) -> None:
+        """Store ``value`` as the most recent entry, evicting past the cap."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def stats(self) -> Dict[str, int]:
+        """Size and counters, for the service's ``stats`` reply."""
+        return {"entries": len(self._entries), "capacity": self.capacity,
+                "hits": self.hits, "misses": self.misses,
+                "evictions": self.evictions}
 
 
 class RunCache:

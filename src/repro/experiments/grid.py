@@ -724,22 +724,22 @@ def run_grid(
 
     # Layer 1 + 2: memo, then disk.
     pending: List[GridPoint] = []
+    digests: Dict[GridPoint, str] = {}
     for point in points:
         key = (point.benchmark.upper(), point.design, point.window)
-        memoized = runner.memo_lookup(point.benchmark, point.design,
-                                      point.window, scale)
+        digest = digests[point] = run_key(point.benchmark, point.design,
+                                          point.window, scale)
+        memoized = runner.memo_lookup(digest)
         if memoized is not None:
             result.results[key] = memoized
             note(RunRecord(point, "memo", 0.0))
             continue
         if disk is not None:
             fetch_started = time.perf_counter()
-            cached = disk.get(run_key(point.benchmark, point.design,
-                                      point.window, scale))
+            cached = disk.get(digest)
             if cached is not None:
                 result.results[key] = cached
-                runner.memo_store(point.benchmark, point.design,
-                                  point.window, scale, cached)
+                runner.memo_store(digest, cached)
                 note(RunRecord(point, "cache",
                                time.perf_counter() - fetch_started))
                 continue
@@ -750,11 +750,9 @@ def run_grid(
                run: SimulationResult, attempts: int = 1) -> None:
         key = (point.benchmark.upper(), point.design, point.window)
         result.results[key] = run
-        runner.memo_store(point.benchmark, point.design, point.window,
-                          scale, run)
+        runner.memo_store(digests[point], run)
         if disk is not None:
-            disk.put(run_key(point.benchmark, point.design, point.window,
-                             scale), run)
+            disk.put(digests[point], run)
         note(RunRecord(point, "sim", seconds, attempts))
 
     if pending and (jobs == 1 or len(pending) == 1):

@@ -5,14 +5,26 @@ design needs them), runs the timing simulator, and memoizes the result:
 Figures 10, 12 and 13 all consume the same runs, and pytest-benchmark
 calls each driver several times.
 
-Results are cached at two levels:
+Results are cached at two layers:
 
-* a process-local memo (``_run_cache``), exactly as before, so repeated
-  driver calls within one process are free and return identical objects;
+* one process-local, size-bounded LRU (``_run_cache``, a
+  :class:`~repro.experiments.cache.LRUCache` of
+  :data:`RESULT_CACHE_SIZE` results keyed by
+  :func:`~repro.experiments.cache.run_key`), shared by
+  :func:`run_design`, ``run_grid`` and the sweep service's warm lookup,
+  so repeated figure calls within one process are free and return
+  identical objects;
 * optionally a persistent on-disk cache
   (:class:`~repro.experiments.cache.RunCache`) shared across processes
   and CI jobs — configure with :func:`set_cache`, or set
   ``$REPRO_CACHE_DIR`` to enable it for a whole process.
+
+Traces (with their decode records) sit in a second LRU of
+:data:`TRACE_CACHE_SIZE` entries.  Together the two bound this
+module's memory at about 44 MiB at ``QUICK`` scale (~55 KiB per
+result, ~0.47 MiB per trace) and about 11 MiB at the 4-warp,
+0.1-trace-scale points the ``serve-mixed`` benchmark requests (~13 KiB
+per result, ~0.12 MiB per trace); DESIGN.md §4 has the measurement.
 
 Two standard sizes are provided:
 
@@ -38,7 +50,7 @@ from ..kernels.suites import get_profile
 from ..kernels.synthetic import generate_compiled_trace, generate_trace
 from ..kernels.trace import KernelTrace
 from ..stats.cache import CacheStats
-from .cache import RunCache, cache_from_env, run_key
+from .cache import LRUCache, RunCache, cache_from_env, run_key
 
 
 @dataclass(frozen=True)
@@ -79,8 +91,17 @@ FULL = RunScale(num_warps=32, trace_scale=0.5)
 #: four SMs (4 CTAs of 4 warps), the benchmark harness's device point.
 DEVICE_QUICK = RunScale(num_warps=16, trace_scale=0.25, num_sms=4)
 
-_trace_cache: Dict[Tuple, KernelTrace] = {}
-_run_cache: Dict[Tuple, SimulationResult] = {}
+#: Results the process-local memo keeps.  Running every
+#: :mod:`repro.experiments.figures` function in one process touches 180
+#: distinct results, so the whole working set fits.
+RESULT_CACHE_SIZE = 256
+
+#: Traces the trace cache keeps (the same functions touch 60 QUICK
+#: traces).
+TRACE_CACHE_SIZE = 64
+
+_run_cache = LRUCache(RESULT_CACHE_SIZE)
+_trace_cache = LRUCache(TRACE_CACHE_SIZE)
 
 #: The configured on-disk cache; ``False`` means "not yet resolved"
 #: (resolve lazily from the environment on first use).
@@ -184,31 +205,19 @@ def device_scale(scale: RunScale, num_sms: int) -> RunScale:
     return replace(scale, num_sms=resolve_num_sms(num_sms))
 
 
-def memo_key(
-    benchmark: str, design: str, window_size: int, scale: RunScale
-) -> Tuple:
-    """The process-local memo key of one design point."""
-    return (benchmark.upper(), design, effective_window(design, window_size),
-            scale.num_warps, scale.trace_scale, scale.memory_seed,
-            scale.num_sms)
+def memo_lookup(key: str) -> Optional[SimulationResult]:
+    """The memoized result under ``key`` (a :func:`run_key`), if present."""
+    return _run_cache.get(key)
 
 
-def memo_store(
-    benchmark: str,
-    design: str,
-    window_size: int,
-    scale: RunScale,
-    result: SimulationResult,
-) -> None:
+def memo_store(key: str, result: SimulationResult) -> None:
     """Insert a result into the process-local memo (grid fan-in uses this)."""
-    _run_cache[memo_key(benchmark, design, window_size, scale)] = result
+    _run_cache.put(key, result)
 
 
-def memo_lookup(
-    benchmark: str, design: str, window_size: int, scale: RunScale
-) -> Optional[SimulationResult]:
-    """The memoized result of one design point, if present."""
-    return _run_cache.get(memo_key(benchmark, design, window_size, scale))
+def memo_stats() -> Dict[str, int]:
+    """Size and hit/miss/eviction counters of the result memo."""
+    return _run_cache.stats()
 
 
 def benchmark_trace(
@@ -218,8 +227,9 @@ def benchmark_trace(
 ) -> KernelTrace:
     """The benchmark's trace, hint-compiled when ``window_size`` is given."""
     key = (benchmark.upper(), scale.num_warps, scale.trace_scale, window_size)
-    if key in _trace_cache:
-        return _trace_cache[key]
+    trace = _trace_cache.get(key)
+    if trace is not None:
+        return trace
     spec = get_profile(benchmark).spec
     spec = replace(
         spec,
@@ -230,7 +240,7 @@ def benchmark_trace(
         trace = generate_trace(spec)
     else:
         trace = generate_compiled_trace(spec, window_size)
-    _trace_cache[key] = trace
+    _trace_cache.put(key, trace)
     return trace
 
 
@@ -363,23 +373,21 @@ def run_design(
         # (see using_fast_forward).
         return execute_run(benchmark, design, window_size=window_size,
                            scale=scale)
-    key = memo_key(benchmark, design, window_size, scale)
-    if key in _run_cache:
-        return _run_cache[key]
-
+    key = run_key(benchmark, design, effective_window(design, window_size),
+                  scale)
+    cached = _run_cache.get(key)
+    if cached is not None:
+        return cached
     disk = get_cache()
-    digest = None
     if disk is not None:
-        digest = run_key(benchmark, design,
-                         effective_window(design, window_size), scale)
-        cached = disk.get(digest)
+        cached = disk.get(key)
         if cached is not None:
-            _run_cache[key] = cached
+            _run_cache.put(key, cached)
             return cached
 
     result = execute_run(benchmark, design, window_size=window_size,
                          scale=scale)
-    if disk is not None and digest is not None:
-        disk.put(digest, result)
-    _run_cache[key] = result
+    if disk is not None:
+        disk.put(key, result)
+    _run_cache.put(key, result)
     return result

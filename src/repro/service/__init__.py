@@ -4,8 +4,9 @@ The library's sweep machinery (``run_grid`` + ``RunCache``) wrapped in
 a long-running, production-hardened job service:
 
 * :mod:`repro.service.core` — :class:`SweepService`, the in-process
-  engine: single-flight dedup of in-flight points, a warm dict cache
-  over the on-disk :class:`~repro.experiments.cache.RunCache`, a
+  engine: single-flight dedup of in-flight points, warm lookups in the
+  runner's bounded result LRU over the on-disk
+  :class:`~repro.experiments.cache.RunCache`, a
   priority queue batching new points into reentrant ``run_grid``
   calls, admission control (``max_queued_points`` /
   ``max_inflight_jobs``), per-job deadlines, journal-backed crash

@@ -8,8 +8,10 @@ concurrency-safe job engine.  Clients submit sweep specs — lists of
 :class:`~repro.experiments.runner.RunScale` — and the service resolves
 each point through four layers:
 
-1. **warm dict cache** — results this process has already produced, a
-   plain dict lookup keyed by :func:`~repro.experiments.cache.run_key`;
+1. **warm lookup** — results this process already holds, read from the
+   runner's bounded result LRU (keyed by
+   :func:`~repro.experiments.cache.run_key`) that ``run_grid`` and
+   ``run_design`` fill too;
 2. **single-flight registry** — points currently *in flight* for any
    client: a later request for the same key attaches to the existing
    :class:`asyncio.Future` instead of scheduling new work, so N
@@ -17,11 +19,13 @@ each point through four layers:
 3. **priority queue + batching** — genuinely new points are queued
    (lower ``priority`` first, FIFO within a priority) and drained in
    batches; each batch becomes one reentrant ``run_grid(points=...)``
-   call on a reused thread-pool executor, preserving the grid engine's
-   memo/disk-cache layering and retry/drain semantics unchanged;
-4. **``run_grid`` itself** — which still consults the process memo and
-   the ``RunCache`` before simulating, so a service restart only costs
-   disk reads, not recomputation.
+   call on a reused single-thread executor, preserving the grid
+   engine's memo/disk-cache layering and retry/drain semantics
+   unchanged.  A batch starts as soon as the executor is idle; points
+   that arrive while one runs form the next;
+4. **``run_grid`` itself** — which still consults the result LRU and
+   the ``RunCache`` before simulating, so a service restart (or an
+   evicted point) only costs disk reads, not recomputation.
 
 Production hardening (see DESIGN.md §10 "Failure semantics &
 recovery"):
@@ -36,7 +40,7 @@ recovery"):
   their waiters resolve with a typed
   :class:`~repro.errors.ServiceTimeoutError` and the simulator never
   runs for them.  Points whose batch already started run to completion
-  (the result lands in the warm cache for everyone).
+  (the result lands in the result LRU for everyone).
 * **Write-ahead journal** — with a ``journal``, every job/point
   transition is durably recorded (:mod:`repro.service.journal`);
   :meth:`SweepService.recover` replays scheduled-but-unresolved points
@@ -67,6 +71,7 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+import math
 import time
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -93,10 +98,11 @@ from .journal import Journal, JournalState
 SERVICE_SCHEMA_VERSION = 1
 
 #: How long the dispatcher waits after a wake-up for more points to
-#: accumulate before cutting a batch (seconds).  Small enough to be
-#: invisible per-job, large enough that a burst of concurrent clients
-#: lands in one ``run_grid`` call.
-DEFAULT_BATCH_WINDOW = 0.02
+#: accumulate before cutting a batch (seconds).  0: an idle executor
+#: starts at once, and points that arrive while a batch runs wait for
+#: it and then share the next one, so bursts still batch.  A positive
+#: window only holds points in the queue (chaos and robustness tests).
+DEFAULT_BATCH_WINDOW = 0.0
 
 #: Largest number of points dispatched as one ``run_grid`` call.
 DEFAULT_MAX_BATCH = 64
@@ -151,8 +157,9 @@ class PointSpec:
 class ServiceStats:
     """Monotonic counters describing everything the service resolved.
 
-    ``points_requested`` splits exactly into ``warm_hits`` (dict-cache
-    lookups), ``coalesced`` (attached to an in-flight future), and
+    ``points_requested`` splits exactly into ``warm_hits`` (found in
+    the runner's result LRU at submit), ``coalesced`` (attached to an
+    in-flight future), and
     ``scheduled`` (genuinely new work).  ``simulated`` / ``from_cache``
     / ``from_memo`` describe how scheduled points resolved inside
     ``run_grid``, so ``simulated`` is the number the single-flight
@@ -297,8 +304,9 @@ class SweepService:
             (1 = serial, the safe default for a service that already
             interleaves batches).
         retry: per-point retry policy for batch runs.
-        batch_window: seconds the dispatcher lingers after a wake-up so
-            a burst of submissions lands in one batch.
+        batch_window: seconds the dispatcher lingers after a wake-up
+            before cutting a batch (default 0: dispatch as soon as the
+            executor is idle).
         max_batch: largest single ``run_grid`` call.
         max_queued_points: admission bound on points waiting for
             dispatch; a job whose new points would overflow it is shed
@@ -329,6 +337,7 @@ class SweepService:
     ) -> None:
         if max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
+        require_finite("batch_window", batch_window)
         if batch_window < 0:
             raise ServiceError(
                 f"batch_window must be >= 0, got {batch_window}")
@@ -352,7 +361,6 @@ class SweepService:
         self._telemetry_dir = (Path(telemetry_dir)
                                if telemetry_dir is not None else None)
         self.stats = ServiceStats()
-        self._warm: Dict[str, SimulationResult] = {}
         self._inflight: Dict[str, "asyncio.Future"] = {}
         self._queue: List[Tuple[int, int, _Queued]] = []
         self._queued_count = 0
@@ -442,6 +450,8 @@ class SweepService:
         and the service closes anyway.  Returns ``True`` when every
         accepted point finished within the budget.
         """
+        if timeout is not None:
+            require_finite("drain timeout", timeout)
         if self._closed:
             return True
         self._draining = True
@@ -561,13 +571,15 @@ class SweepService:
             raise ServiceError("service is not running (call start())")
         if not specs:
             raise ServiceError("empty job: no points")
+        if deadline_ms is not None:
+            require_finite("deadline_ms", deadline_ms)
         if deadline_ms is not None and deadline_ms <= 0:
             raise ServiceError(
                 f"deadline_ms must be positive, got {deadline_ms}")
 
         # Classify before mutating anything so admission is atomic:
         # a shed job leaves no trace in the queue or the registry.
-        plan: List[Tuple[PointSpec, str, str]] = []
+        plan: List[Tuple[PointSpec, str, str, object]] = []
         seen_keys = set()
         new_points = 0
         for spec in specs:
@@ -575,14 +587,15 @@ class SweepService:
             if key in seen_keys:
                 continue
             seen_keys.add(key)
-            if key in self._warm:
+            pending = runner.memo_lookup(key)
+            if pending is not None:
                 how = "warm"
             elif key in self._inflight:
-                how = "flight"
+                how, pending = "flight", self._inflight[key]
             else:
                 how = "queued"
                 new_points += 1
-            plan.append((spec, key, how))
+            plan.append((spec, key, how, pending))
         if not _bypass_admission:
             self._admit(new_points)
 
@@ -601,14 +614,14 @@ class SweepService:
             scale=_scale_dict(specs[0].scale))
 
         waiters: List[Tuple[PointSpec, str, object, str]] = []
-        for spec, key, how in plan:
+        for spec, key, how, pending in plan:
             self.stats.points_requested += 1
             if how == "warm":
                 self.stats.warm_hits += 1
-                waiters.append((spec, key, self._warm[key], "warm"))
+                waiters.append((spec, key, pending, "warm"))
             elif how == "flight":
                 self.stats.coalesced += 1
-                waiters.append((spec, key, self._inflight[key], "flight"))
+                waiters.append((spec, key, pending, "flight"))
             else:
                 self.stats.scheduled += 1
                 future = loop.create_future()
@@ -724,9 +737,9 @@ class SweepService:
             if not self._queued_count:
                 continue
             if self._batch_window:
-                # Linger so a burst of concurrent submissions becomes
-                # one batch instead of many single-point ones.
                 await asyncio.sleep(self._batch_window)
+            # Points submitted while a batch runs queue up behind it and
+            # are cut into the next batch when it finishes.
             while self._queued_count:
                 batch = self._pop_batch()
                 if batch:
@@ -822,7 +835,6 @@ class SweepService:
                 self.stats.from_cache += 1
             else:
                 self.stats.from_memo += 1
-            self._warm[queued.key] = result
             self._journal_record("point-resolved", key=queued.key,
                                  ok=True, source=source)
             if not queued.future.done():
@@ -873,8 +885,8 @@ class SweepService:
 
     @property
     def warm_points(self) -> int:
-        """Entries in the warm dict cache."""
-        return len(self._warm)
+        """Results in the runner's LRU (shared process-wide)."""
+        return runner.memo_stats()["entries"]
 
     @property
     def inflight_points(self) -> int:
@@ -905,6 +917,12 @@ class SweepService:
     def journal_state(self) -> Optional[JournalState]:
         """What :meth:`start` replayed from the journal, if anything."""
         return self._journal_state
+
+
+def require_finite(name: str, value: float) -> None:
+    """Reject NaN and infinities: either would park waiters forever."""
+    if not math.isfinite(value):
+        raise ServiceError(f"{name} must be finite, got {value}")
 
 
 def _scale_dict(scale: RunScale) -> Dict[str, object]:

@@ -6,7 +6,8 @@ line; every request gets exactly one JSON response line.  Operations:
 * ``{"op": "ping"}`` — liveness probe; echoes the library version.
 * ``{"op": "stats"}`` — the service's monotonic counters (loadgen
   computes per-pass deltas from two snapshots) plus live gauges
-  (``queued_points``, ``active_jobs``, ``draining``).
+  (``queued_points``, ``active_jobs``, ``draining``) and the result
+  LRU's size and hit/miss/eviction counters (``result_cache``).
 * ``{"op": "sweep", ...}`` — submit a job and block until it resolves.
   The sweep is either a cross-product (``benchmarks`` x ``designs`` x
   ``windows``) or an explicit ``points`` list of ``[benchmark, design,
@@ -22,7 +23,8 @@ line; every request gets exactly one JSON response line.  Operations:
   reports whether the drain completed cleanly.
 
 Responses always carry ``"ok"``; protocol failures (bad JSON, unknown
-op, unknown benchmark/design) answer ``{"ok": false, "error": ...}``
+op, unknown benchmark/design, a non-numeric or non-finite
+``deadline_ms``/``drain_timeout``) answer ``{"ok": false, "error": ...}``
 on the same connection instead of dropping it, so one bad client
 request cannot take a shared connection down.  A shed job answers
 ``"error_type": "ServiceOverloadedError"`` with a ``retry_after_ms``
@@ -40,12 +42,13 @@ from typing import Optional, Sequence
 
 from .. import __version__
 from ..errors import ReproError, ServiceError
-from ..experiments.runner import RunScale
+from ..experiments.runner import RunScale, memo_stats
 from .core import (
     SERVICE_SCHEMA_VERSION,
     PointSpec,
     SweepService,
     expand_points,
+    require_finite,
 )
 
 #: Largest accepted request line (a full-suite sweep spec is ~1 KB;
@@ -97,6 +100,21 @@ def parse_sweep_specs(request: dict) -> Sequence[PointSpec]:
     return expand_points(benchmarks, designs, windows, scale)
 
 
+def _number(request: dict, name: str, kind, default):
+    """``request[name]`` as ``kind``, or a :class:`ServiceError`.
+
+    Non-finite floats (``NaN``/``Infinity``, which ``json.loads``
+    accepts) pass through here and are rejected by the service.
+    """
+    value = request.get(name)
+    if value is None:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ServiceError(f"{name} must be a number, got {value!r}") from None
+
+
 class SweepServer:
     """Serves a :class:`SweepService` over TCP (JSON lines).
 
@@ -110,6 +128,7 @@ class SweepServer:
     def __init__(self, service: SweepService, host: str = "127.0.0.1",
                  port: int = 0,
                  drain_timeout: float = DEFAULT_DRAIN_TIMEOUT) -> None:
+        require_finite("drain_timeout", drain_timeout)
         self.service = service
         self.host = host
         self.port = port
@@ -207,6 +226,7 @@ class SweepServer:
                 return {"ok": True, "op": "stats",
                         "stats": self.service.stats.as_dict(),
                         "warm_points": self.service.warm_points,
+                        "result_cache": memo_stats(),
                         "inflight_points": self.service.inflight_points,
                         "queued_points": self.service.queued_points,
                         "active_jobs": self.service.active_jobs,
@@ -216,9 +236,8 @@ class SweepServer:
                 return await self._handle_sweep(request), False
             if op == "shutdown":
                 if request.get("mode") == "drain":
-                    timeout = request.get("drain_timeout")
                     drained = await self.drain(
-                        None if timeout is None else float(timeout))
+                        _number(request, "drain_timeout", float, None))
                     return {"ok": True, "op": "shutdown",
                             "mode": "drain", "drained": drained}, True
                 return {"ok": True, "op": "shutdown"}, True
@@ -235,11 +254,10 @@ class SweepServer:
 
     async def _handle_sweep(self, request: dict) -> dict:
         specs = parse_sweep_specs(request)
-        priority = int(request.get("priority", 0))
-        deadline_ms = request.get("deadline_ms")
+        priority = _number(request, "priority", int, 0)
         job = await self.service.submit(
             specs, priority=priority,
-            deadline_ms=None if deadline_ms is None else float(deadline_ms))
+            deadline_ms=_number(request, "deadline_ms", float, None))
         points = []
         for outcome in job.outcomes:
             entry = {

@@ -389,10 +389,12 @@ class TestRunnerIntegration:
     def test_memo_keys_distinct_per_sms(self):
         from dataclasses import replace
 
-        from repro.experiments.runner import QUICK, memo_key
+        from repro.experiments.cache import run_key
+        from repro.experiments.runner import QUICK
 
-        single = memo_key("BTREE", "bow", 3, QUICK)
-        device = memo_key("BTREE", "bow", 3, replace(QUICK, num_sms=4))
+        # The result memo is keyed by run_key.
+        single = run_key("BTREE", "bow", 3, QUICK)
+        device = run_key("BTREE", "bow", 3, replace(QUICK, num_sms=4))
         assert single != device
 
     def test_run_design_routes_through_device(self):

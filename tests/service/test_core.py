@@ -1,12 +1,13 @@
 """Tests for the single-flight sweep service engine."""
 
 import asyncio
+import threading
 
 import pytest
 
 from repro.errors import ExperimentError, ServiceError
 from repro.experiments import runner
-from repro.experiments.cache import RunCache
+from repro.experiments.cache import LRUCache, RunCache
 from repro.experiments.resilience import RetryPolicy
 from repro.experiments.runner import (
     RunScale,
@@ -94,7 +95,7 @@ class TestSingleFlight:
         assert service.stats.points_requested == 8 * unique
         assert service.stats.scheduled == unique
         # Every non-scheduled request either coalesced onto a flight or
-        # hit the warm dict (possible when a batch lands between two
+        # hit the result LRU (possible when a batch lands between two
         # submits) — none of them scheduled new work.
         assert (service.stats.coalesced + service.stats.warm_hits
                 == 7 * unique)
@@ -318,6 +319,34 @@ class TestFailures:
         with pytest.raises(ServiceError):
             SweepService(batch_window=-1.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_batch_window_rejected(self, value):
+        # Either would park every submit forever.
+        with pytest.raises(ServiceError, match="finite"):
+            SweepService(batch_window=value)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       float("nan")])
+    def test_non_finite_deadline_rejected(self, value):
+        async def scenario():
+            async with SweepService(cache=None) as service:
+                with pytest.raises(ServiceError, match="finite"):
+                    await service.submit(grid_specs(), deadline_ms=value)
+                return service
+
+        service = asyncio.run(scenario())
+        assert service.stats.jobs == 0
+        assert simulations_run() == 0
+
+    def test_non_finite_drain_timeout_rejected(self):
+        async def scenario():
+            async with SweepService(cache=None) as service:
+                with pytest.raises(ServiceError, match="finite"):
+                    await service.drain(float("nan"))
+                return service.draining
+
+        assert asyncio.run(scenario()) is False
+
 
 class TestTelemetry:
     def test_per_job_streams_and_stamped_service_stream(self, tmp_path):
@@ -358,3 +387,132 @@ class TestTelemetry:
         batches = [r for r in combined if r["type"] == "batch"]
         assert len(batches) == 1
         assert batches[0]["simulated"] == len(grid_specs())
+
+
+class TestIdleDispatch:
+    """The dispatcher starts a batch as soon as its executor is idle."""
+
+    @pytest.fixture
+    def blocked_grid(self, monkeypatch):
+        """``run_grid`` recording each batch; the first blocks until
+        ``release`` is set."""
+        from repro.service import core
+
+        real_run_grid = core.run_grid
+        batches = []
+        release = threading.Event()
+
+        def blocking_run_grid(*args, **kwargs):
+            batches.append([(p.benchmark, p.design)
+                            for p in kwargs["points"]])
+            if len(batches) == 1:
+                assert release.wait(timeout=10.0), "test never released"
+            return real_run_grid(*args, **kwargs)
+
+        monkeypatch.setattr(core, "run_grid", blocking_run_grid)
+        yield batches, release
+        release.set()
+
+    def test_default_window_is_zero(self):
+        assert SweepService()._batch_window == 0.0
+
+    def test_lone_point_dispatches_without_a_linger(self, blocked_grid):
+        batches, release = blocked_grid
+        spec = PointSpec.create("BFS", "baseline", 3, TINY)
+
+        async def scenario():
+            async with SweepService(cache=None) as service:
+                job = asyncio.ensure_future(service.submit([spec]))
+                # Far shorter than the old 20 ms linger: the point must
+                # already have left the queue for run_grid.
+                await asyncio.sleep(0.005)
+                queued = service.queued_points
+                release.set()
+                return queued, await job
+
+        queued, job = asyncio.run(scenario())
+        assert queued == 0
+        assert batches == [[("BFS", "baseline")]]
+        assert job.ok
+
+    def test_points_arriving_mid_batch_form_the_next_batch(
+            self, blocked_grid):
+        batches, release = blocked_grid
+        first = PointSpec.create("BFS", "baseline", 3, TINY)
+        later = [PointSpec.create("NW", "baseline", 3, TINY),
+                 PointSpec.create("BFS", "bow", 3, TINY)]
+
+        async def scenario():
+            async with SweepService(cache=None) as service:
+                job = asyncio.ensure_future(service.submit([first]))
+                await asyncio.sleep(0.005)
+                others = [asyncio.ensure_future(service.submit([spec]))
+                          for spec in later]
+                await asyncio.sleep(0.005)
+                queued = service.queued_points
+                release.set()
+                jobs = await asyncio.gather(job, *others)
+            return queued, jobs, service
+
+        queued, jobs, service = asyncio.run(scenario())
+        assert queued == 2  # held behind the running batch, not lost
+        assert batches == [[("BFS", "baseline")],
+                           [("NW", "baseline"), ("BFS", "bow")]]
+        assert service.stats.batches == 2
+        assert all(job.ok for job in jobs)
+
+
+class TestBoundedResultCache:
+    """The service's warm lookup is the runner's bounded result LRU."""
+
+    def test_warm_hits_come_from_the_shared_lru(self):
+        run_design("BFS", "bow", 3, TINY)
+
+        async def scenario():
+            async with SweepService(cache=None) as service:
+                job = await service.submit(
+                    [PointSpec.create("BFS", "bow", 3, TINY)])
+            return job, service
+
+        job, service = asyncio.run(scenario())
+        assert job.outcomes[0].source == "warm"
+        assert service.stats.warm_hits == 1
+        assert simulations_run() == 1
+
+    def test_evicted_points_come_back_from_the_run_cache(
+            self, tmp_path, monkeypatch):
+        memo = LRUCache(2)
+        monkeypatch.setattr(runner, "_run_cache", memo)
+        specs = grid_specs()
+
+        async def scenario():
+            async with SweepService(cache=RunCache(tmp_path)) as service:
+                await service.submit(specs)
+                again = await service.submit(specs)
+            return again, service
+
+        again, service = asyncio.run(scenario())
+        unique = len(specs)
+        assert memo.evictions >= unique - 2
+        assert again.sources() == {"warm": 2, "cache": unique - 2}
+        assert service.stats.from_cache == unique - 2
+        assert service.stats.simulated == unique
+        assert simulations_run() == unique
+
+    def test_single_flight_holds_with_a_tiny_lru(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "_run_cache", LRUCache(1))
+
+        async def scenario():
+            async with SweepService(cache=RunCache(tmp_path)) as service:
+                jobs = await submit_concurrently(service, 8, grid_specs())
+            return service, jobs
+
+        service, jobs = asyncio.run(scenario())
+        unique = len(grid_specs())
+        assert simulations_run() == unique
+        assert service.stats.simulated == unique
+        assert service.stats.scheduled == unique
+        assert (service.stats.coalesced + service.stats.warm_hits
+                == 7 * unique)
+        assert all(job.ok for job in jobs)

@@ -210,6 +210,63 @@ class TestServer:
         assert not response["ok"]
         assert response["error_type"] == "ServiceError"
 
+    @pytest.mark.parametrize("deadline", ["NaN", "Infinity", "-Infinity",
+                                          '"soon"'])
+    def test_bad_deadline_is_answered_in_band(self, deadline):
+        async def check(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            # Raw bytes: json.loads accepts NaN and Infinity literals.
+            writer.write(b'{"op": "sweep", "points": [["BFS", "bow", 3]], '
+                         b'"scale": {"num_warps": 2, "trace_scale": 0.1}, '
+                         b'"deadline_ms": ' + deadline.encode() + b'}\n')
+            await writer.drain()
+            bad = json.loads(await asyncio.wait_for(reader.readline(), 10))
+            writer.write(b'{"op": "ping"}\n')
+            await writer.drain()
+            good = json.loads(await asyncio.wait_for(reader.readline(), 10))
+            writer.close()
+            await writer.wait_closed()
+            return bad, good
+
+        bad, good = with_server(check)
+        assert not bad["ok"]
+        assert bad["error_type"] == "ServiceError"
+        assert "deadline_ms" in bad["error"]
+        assert good["ok"]
+        assert simulations_run() == 0
+
+    def test_non_finite_drain_timeout_is_answered_in_band(self):
+        async def check(server):
+            async with ServiceClient(port=server.port) as client:
+                bad = await client.request({"op": "shutdown", "mode": "drain",
+                                            "drain_timeout": float("nan")})
+                good = await client.ping()
+            return bad, good, server.service.draining
+
+        bad, good, draining = with_server(check)
+        assert not bad["ok"]
+        assert bad["error_type"] == "ServiceError"
+        assert good["ok"]
+        assert not draining
+
+    def test_non_finite_server_drain_timeout_rejected(self):
+        with pytest.raises(ServiceError, match="finite"):
+            SweepServer(SweepService(cache=None),
+                        drain_timeout=float("inf"))
+
+    def test_stats_report_the_result_cache(self):
+        async def check(server):
+            async with ServiceClient(port=server.port) as client:
+                await client.sweep(points=[["BFS", "bow", 3]], scale=TINY)
+                return await client.stats()
+
+        response = with_server(check)
+        cache = response["result_cache"]
+        assert cache["entries"] == response["warm_points"] == 1
+        assert cache["capacity"] >= 1
+        assert cache["evictions"] == 0
+
     def test_shutdown_op_stops_serve_until_shutdown(self):
         async def scenario():
             server = SweepServer(SweepService(cache=None))

@@ -574,3 +574,13 @@ class TestServeLoadgenCLI:
         code = main(["serve", "--retries", "0"])
         assert code == 2
         assert "--retries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--batch-window", "inf"), ("--batch-window", "nan"),
+        ("--drain-timeout", "inf"), ("--drain-timeout", "nan")])
+    def test_serve_non_finite_timing_is_an_error(self, capsys, flag, value):
+        code = main(["serve", "--no-cache", "--port", "0", flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "must be finite" in err
+        assert "listening" not in err
