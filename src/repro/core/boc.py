@@ -13,6 +13,12 @@ One BOC per warp (paper SS IV-A).  Each BOC:
 * routes results per the configured writeback policy: write-through
   (baseline BOW), write-back (BOW-WB), or compiler hints (BOW-WR).
 
+Per-warp BOC state lives in a first-touch table indexed by warp id;
+the warps that still have operands to fetch are kept, in that same
+first-touch order, in the list :meth:`BOWCollectors.read_requests`
+walks, so a cycle's requests come out in the order arbitration
+tie-breaks depend on without visiting idle warps.
+
 Correctness invariants (exercised by the property tests):
 
 * a value is dropped without reaching the RF only when (a) a newer write
@@ -24,14 +30,21 @@ Correctness invariants (exercised by the property tests):
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from ..config import BOWConfig, EvictionPolicy, WritebackPolicy
 from ..errors import SimulationError
 from ..gpu.banks import AccessRequest
-from ..gpu.collector import InflightInstruction, OperandProvider, ensure_decoded
+from ..gpu.collector import (
+    InflightInstruction,
+    OperandProvider,
+    WarpTable,
+    ensure_decoded,
+)
 from ..stats.trace import EventKind
 
 
@@ -45,18 +58,26 @@ class _BocEntry:
     transient: bool = False  # OC-only: never owes the RF a write
 
 
-@dataclass
+@dataclass(eq=False)
 class _WarpBOC:
     """Per-warp bypassing collector state."""
 
     warp_id: int
+    #: Order of first touch among the warps (the BOCs' iteration order).
+    rank: int = 0
     seq: int = 0  # issued-instruction counter (window clock)
     last_access: Dict[int, int] = field(default_factory=dict)
     entries: "OrderedDict[int, _BocEntry]" = field(default_factory=OrderedDict)
     inflight: List[InflightInstruction] = field(default_factory=list)
+    #: The ``inflight`` entries whose operands are still being
+    #: collected, in the same (issue) order.
+    collecting: List[InflightInstruction] = field(default_factory=list)
     #: Last cycle whose occupancy sample has been accumulated into the
     #: histogram (see BOWCollectors._settle).
     settled: int = 0
+
+
+_warp_rank = attrgetter("rank")
 
 
 class BOWCollectors(OperandProvider):
@@ -77,7 +98,11 @@ class BOWCollectors(OperandProvider):
         self.capacity = bow.effective_capacity
         self._lru = bow.eviction is EvictionPolicy.LRU
         self._compiler_policy = bow.writeback is WritebackPolicy.COMPILER
-        self._warps: Dict[int, _WarpBOC] = {}
+        self._warps: Dict[int, _WarpBOC] = WarpTable(
+            lambda warp_id: _WarpBOC(warp_id, rank=len(self._warps)))
+        # Warps with entries still collecting operands, in rank order:
+        # the only ones read_requests has to visit.
+        self._requesting: List[_WarpBOC] = []
         # Operand-complete entries, maintained incrementally at the
         # ready transition (fully bypassed insert, or last delivery)
         # so ready_entries never rescans every warp's inflight list.
@@ -90,11 +115,6 @@ class BOWCollectors(OperandProvider):
         #: each of those settles the constant span since the previous
         #: mutation in one bulk add instead of sampling every cycle.
         self.occupancy_histogram: Dict[int, int] = {}
-
-    def _warp(self, warp_id: int) -> _WarpBOC:
-        if warp_id not in self._warps:
-            self._warps[warp_id] = _WarpBOC(warp_id)
-        return self._warps[warp_id]
 
     def _settle(self, warp: _WarpBOC, through: int) -> None:
         """Accumulate owed occupancy samples for cycles up to ``through``.
@@ -119,32 +139,6 @@ class BOWCollectors(OperandProvider):
     # ------------------------------------------------------------------
     # window bookkeeping
     # ------------------------------------------------------------------
-
-    def _in_window(self, warp: _WarpBOC, register_id: int) -> bool:
-        last = warp.last_access.get(register_id)
-        return last is not None and warp.seq - last < self.window_size
-
-    def _refresh(self, warp: _WarpBOC, register_id: int) -> None:
-        warp.last_access[register_id] = warp.seq
-
-    def _slide_window(self, warp: _WarpBOC) -> None:
-        """Evict operands whose last access just fell out of the window."""
-        entries = warp.entries
-        if not entries:
-            return
-        # Inline of _in_window over every resident operand — this runs
-        # once per issued instruction, so the per-entry cost matters.
-        seq = warp.seq
-        window_size = self.window_size
-        last_access = warp.last_access
-        expired = [
-            reg_id
-            for reg_id in entries
-            if (last := last_access.get(reg_id)) is None
-            or seq - last >= window_size
-        ]
-        for reg_id in expired:
-            self._dispose(warp, entries.pop(reg_id), reason="slide")
 
     def _dispose(self, warp: _WarpBOC, entry: _BocEntry, reason: str) -> None:
         """Final disposition of a value leaving the BOC.
@@ -228,32 +222,38 @@ class BOWCollectors(OperandProvider):
     # ------------------------------------------------------------------
 
     def can_accept(self, warp_id: int) -> bool:
-        return len(self._warp(warp_id).inflight) < self.window_size
+        return len(self._warps[warp_id].inflight) < self.window_size
 
     def insert(self, entry: InflightInstruction) -> None:
-        warp = self._warp(entry.warp_id)
+        warp = self._warps[entry.warp_id]
         if len(warp.inflight) >= self.window_size:
             raise SimulationError("insert into a full BOC")
         self._settle(warp, self.engine.state.cycle)
-        warp.seq += 1
-        self._slide_window(warp)
-
-        dec = ensure_decoded(entry, self.engine)
-        counters = self.engine.counters
-        recorder = self.engine.recorder
-        seq = warp.seq
-        window_size = self.window_size
+        seq = warp.seq = warp.seq + 1
         last_access = warp.last_access
         entries = warp.entries
+        if entries:
+            # Slide the window: evict operands whose last access just
+            # fell out of it.  A register is windowed while fewer than
+            # ``window_size`` instructions issued since its last access.
+            window_size = self.window_size
+            expired = [
+                reg_id
+                for reg_id in entries
+                if (last := last_access.get(reg_id)) is None
+                or seq - last >= window_size
+            ]
+            for reg_id in expired:
+                self._dispose(warp, entries.pop(reg_id), reason="slide")
+
+        dec = entry.dec or ensure_decoded(entry, self.engine)
+        counters = self.engine.counters
+        recorder = self.engine.recorder
         operand_values = entry.operand_values
         pending: List[int] = []
         for slot, reg_id in enumerate(dec.source_ids):
-            last = last_access.get(reg_id)
-            resident = (
-                last is not None
-                and seq - last < window_size
-                and reg_id in entries
-            )
+            # Every operand still resident after the slide is windowed.
+            resident = reg_id in entries
             last_access[reg_id] = seq
             if resident:
                 operand_values[slot] = entries[reg_id].value
@@ -273,27 +273,26 @@ class BOWCollectors(OperandProvider):
         entry.pending_slots = pending
         if pending:
             self.heads_pending += 1
+            if not warp.collecting:
+                insort(self._requesting, warp, key=_warp_rank)
+            warp.collecting.append(entry)
         else:
             self._ready.append(entry)
 
         dest_id = dec.rf_dest_id
-        if dest_id is not None and not self._dest_skips_window(dec):
+        # RF-only values never enter the window (no reuse to serve).
+        if dest_id is not None and not (
+                self._compiler_policy and dec.hint_rf_only):
             last_access[dest_id] = seq
         warp.inflight.append(entry)
-
-    def _dest_skips_window(self, dec) -> bool:
-        """RF-only values never enter the window (no reuse to serve)."""
-        return self._compiler_policy and dec.hint_rf_only
 
     def read_requests(self, cycle: int) -> List[AccessRequest]:
         requests = []
         # Skip slots whose read was already granted (the engine would
         # filter them anyway; not building the request is cheaper).
         inflight_tags = self.engine.state.inflight_read_tags
-        for warp in self._warps.values():
-            for entry in warp.inflight:
-                if not entry.pending_slots:
-                    continue
+        for warp in self._requesting:
+            for entry in warp.collecting:
                 # One fill path per instruction slot (matching the
                 # baseline OCU each slot replaces); operands of a single
                 # instruction still serialize.
@@ -316,9 +315,9 @@ class BOWCollectors(OperandProvider):
 
     def deliver(self, tag: object, value: int) -> None:
         key, slot = tag
-        warp = self._warp(key[0])
+        warp = self._warps[key[0]]
         self._settle(warp, self.engine.state.cycle - 1)
-        for entry in warp.inflight:
+        for entry in warp.collecting:
             if entry.key == key:
                 break
         else:
@@ -351,10 +350,18 @@ class BOWCollectors(OperandProvider):
         if not entry.pending_slots:
             self.heads_pending -= 1
             self._ready.append(entry)
+            warp.collecting.remove(entry)
+            if not warp.collecting:
+                self._requesting.remove(warp)
         # An RF fill deposits the value for later forwarding — but only
         # while the register is still windowed (it may have slid while
         # the read waited on a bank port).
-        if self._in_window(warp, register_id) and register_id not in warp.entries:
+        last = warp.last_access.get(register_id)
+        if (
+            last is not None
+            and warp.seq - last < self.window_size
+            and register_id not in warp.entries
+        ):
             self._deposit(warp, register_id, value, dirty=False, transient=False)
 
     def ready_entries(self) -> List[InflightInstruction]:
@@ -364,13 +371,13 @@ class BOWCollectors(OperandProvider):
         # The instruction slot frees once the operands are consumed; the
         # window (and any deposited operand values) persists via the
         # per-register access clock.
-        warp = self._warp(entry.warp_id)
+        warp = self._warps[entry.warp_id]
         self._settle(warp, self.engine.state.cycle)
         warp.inflight.remove(entry)
         self._ready.remove(entry)
 
     def on_complete(self, entry: InflightInstruction, value: Optional[int]) -> None:
-        warp = self._warp(entry.warp_id)
+        warp = self._warps[entry.warp_id]
         self._settle(warp, self.engine.state.cycle - 1)
         dest_id = entry.dec.rf_dest_id
         if dest_id is None or value is None:
@@ -378,7 +385,8 @@ class BOWCollectors(OperandProvider):
             return
 
         policy = self.bow.writeback
-        in_window = self._in_window(warp, dest_id)
+        last = warp.last_access.get(dest_id)
+        in_window = last is not None and warp.seq - last < self.window_size
 
         if policy is WritebackPolicy.WRITE_THROUGH:
             if in_window:

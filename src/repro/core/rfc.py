@@ -27,7 +27,12 @@ from typing import Dict, List, Optional, Tuple
 from ..config import GPUConfig
 from ..errors import SimulationError
 from ..gpu.banks import AccessRequest
-from ..gpu.collector import InflightInstruction, OperandProvider, ensure_decoded
+from ..gpu.collector import (
+    InflightInstruction,
+    OperandProvider,
+    WarpTable,
+    ensure_decoded,
+)
 from ..gpu.sm import SimulationResult, SMEngine
 from ..kernels.trace import KernelTrace
 from ..stats.trace import EventKind
@@ -64,7 +69,7 @@ class RFCCollectors(OperandProvider):
         self.engine = engine
         self.num_units = num_units
         self.entries_per_warp = entries_per_warp
-        self._caches: Dict[int, _WarpCache] = {}
+        self._caches: Dict[int, _WarpCache] = WarpTable(_WarpCache)
         self._collecting: List[InflightInstruction] = []
         # Operand-complete entries, maintained incrementally at the
         # ready transition so ready_entries never rescans the pool.
@@ -80,18 +85,13 @@ class RFCCollectors(OperandProvider):
         self.due_heap: List[int] = []
         self._serving: set = set()
 
-    def _cache(self, warp_id: int) -> _WarpCache:
-        if warp_id not in self._caches:
-            self._caches[warp_id] = _WarpCache(warp_id)
-        return self._caches[warp_id]
-
     # -- issue ----------------------------------------------------------
 
     def can_accept(self, warp_id: int) -> bool:
         return len(self._collecting) < self.num_units
 
     def insert(self, entry: InflightInstruction) -> None:
-        dec = ensure_decoded(entry, self.engine)
+        dec = entry.dec or ensure_decoded(entry, self.engine)
         entry.pending_slots = list(range(dec.num_sources))
         self._collecting.append(entry)
         if entry.pending_slots:
@@ -118,7 +118,7 @@ class RFCCollectors(OperandProvider):
                 continue  # a cache hit for this slot is already in flight
             dec = entry.dec
             register_id = dec.source_ids[slot]
-            cache = self._cache(entry.warp_id)
+            cache = self._caches[entry.warp_id]
             line = cache.lines.get(register_id)
             if line is not None:
                 # Cache hit: no bank access, and one cycle less than a
@@ -219,7 +219,7 @@ class RFCCollectors(OperandProvider):
         if dest_id is None or value is None:
             self.engine.release_scoreboard(entry)
             return
-        cache = self._cache(entry.warp_id)
+        cache = self._caches[entry.warp_id]
         counters = self.engine.counters
         recorder = self.engine.recorder
         old = cache.lines.pop(dest_id, None)

@@ -27,8 +27,10 @@ class AccessRequest:
         bank: target bank index.
         warp_id: requesting warp (for accounting and value lookup).
         register_id: architectural register accessed.
-        tag: opaque requester handle (collector key or write-queue id)
-            handed back with the grant.
+        tag: opaque requester handle (a collector's ``(key, slot)``)
+            handed back with the grant; ``None`` for a queued RF write,
+            which is its own request (see
+            :class:`~repro.gpu.stages.QueuedWrite`).
         age: request age used for oldest-first arbitration (lower = older).
     """
 

@@ -228,6 +228,26 @@ class OperandProvider:
         """
 
 
+class WarpTable(dict):
+    """Per-warp provider state keyed by warp id, created on first touch.
+
+    ``table[warp_id]`` is a plain dict lookup once the warp's state
+    exists; only the first touch calls ``factory(warp_id)``.  Iteration
+    follows first-touch order, as the lazily-filled dicts it replaces
+    did.
+    """
+
+    __slots__ = ("_factory",)
+
+    def __init__(self, factory):
+        super().__init__()
+        self._factory = factory
+
+    def __missing__(self, warp_id: int):
+        state = self[warp_id] = self._factory(warp_id)
+        return state
+
+
 def ensure_decoded(entry: InflightInstruction, engine) -> DecodedOp:
     """The entry's decode record, decoding lazily for hand-built entries."""
     dec = entry.dec
@@ -272,7 +292,7 @@ class BaselineCollectorPool(OperandProvider):
     def insert(self, entry: InflightInstruction) -> None:
         if len(self._collecting) >= self.num_units:
             raise SimulationError("insert called with no free OCU")
-        dec = ensure_decoded(entry, self.engine)
+        dec = entry.dec or ensure_decoded(entry, self.engine)
         entry.pending_slots = list(range(dec.num_sources))
         self._occupied[entry.key] = entry
         self._collecting.append(entry)

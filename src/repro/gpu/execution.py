@@ -52,47 +52,34 @@ _BUCKET_OF: Dict[OpClass, int] = {
 
 
 class ExecutionUnits:
-    """Per-class dispatch-width tracker for one cycle."""
+    """Per-class dispatch-width tracker for one cycle.
+
+    ``used`` and ``capacity`` are per-bucket lists indexed by the
+    ``BUCKET_*`` constants.  The engine's dispatch stage, which runs at
+    most once per cycle, zeroes ``used`` when it starts and charges the
+    budget through the lists directly (``DecodedOp.bucket`` already
+    names the index).
+    """
 
     def __init__(self, config: GPUConfig):
         self.config = config
-        self._capacity = [
+        self.capacity = [
             config.num_alu_units,  # BUCKET_ALU
             config.num_sfu_units,  # BUCKET_SFU
             config.num_mem_units,  # BUCKET_MEM
         ]
-        self._used = [0, 0, 0]
-        # True when any dispatch happened since the last reset; lets
-        # the engine skip new_cycle() on untouched cycles.
-        self._any = False
+        self.used = [0, 0, 0]
 
     def new_cycle(self) -> None:
         """Reset this cycle's dispatch budget."""
-        if self._any:
-            used = self._used
-            used[0] = used[1] = used[2] = 0
-            self._any = False
-
-    def _bucket(self, op_class: OpClass) -> int:
-        return _BUCKET_OF[op_class]
+        used = self.used
+        used[BUCKET_ALU] = used[BUCKET_SFU] = used[BUCKET_MEM] = 0
 
     def can_dispatch(self, op_class: OpClass) -> bool:
         bucket = _BUCKET_OF[op_class]
-        return self._used[bucket] < self._capacity[bucket]
+        return self.used[bucket] < self.capacity[bucket]
 
     def dispatch(self, op_class: OpClass) -> None:
         if not self.can_dispatch(op_class):
             raise SimulationError(f"dispatch over capacity for {op_class}")
-        self._used[_BUCKET_OF[op_class]] += 1
-        self._any = True
-
-    # -- decoded fast path: the caller already holds the bucket ---------
-
-    def can_dispatch_bucket(self, bucket: int) -> bool:
-        """`can_dispatch` for a pre-bucketed class (decode-cache path)."""
-        return self._used[bucket] < self._capacity[bucket]
-
-    def dispatch_bucket(self, bucket: int) -> None:
-        """`dispatch` for a pre-bucketed class the caller just checked."""
-        self._used[bucket] += 1
-        self._any = True
+        self.used[_BUCKET_OF[op_class]] += 1

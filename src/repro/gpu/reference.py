@@ -33,12 +33,15 @@ class ReferenceResult:
     equivalent iff it retires exactly this multiset (predicated-off
     instructions still commit: they consume a slot without producing a
     value), which is what the differential-oracle harness checks
-    against the engine's ``commit`` trace events.
+    against the engine's ``commit`` trace events.  ``register_writes``
+    counts the values written to real (non-sink) registers; a
+    predicated-off instruction writes nothing.
     """
 
     registers: Dict[Tuple[int, int], int]
     memory: Dict[int, int]
     committed: Tuple[Tuple[int, int, str], ...] = ()
+    register_writes: int = 0
 
     @property
     def instructions(self) -> int:
@@ -78,6 +81,7 @@ def execute_reference(
     registers: Dict[Tuple[int, int], int] = {}
     predicates: Dict[Tuple[int, int], bool] = {}
     committed: List[Tuple[int, int, str]] = []
+    register_writes = 0
 
     def read_reg(warp_id: int, register_id: int) -> int:
         key = (warp_id, register_id)
@@ -107,9 +111,11 @@ def execute_reference(
                 predicates[(warp.warp_id, inst.pred_dest.id)] = bool(value)
             if inst.dest is not None and inst.dest != SINK_REGISTER:
                 registers[(warp.warp_id, inst.dest.id)] = value & 0xFFFFFFFF
+                register_writes += 1
 
     return ReferenceResult(registers=registers, memory=memory.image_snapshot(),
-                           committed=tuple(committed))
+                           committed=tuple(committed),
+                           register_writes=register_writes)
 
 
 def _execute_one(

@@ -5,10 +5,12 @@ running a :class:`~repro.kernels.trace.KernelTrace`.  The engine is a
 thin conductor: each cycle it runs four explicit pipeline stages
 (:mod:`repro.gpu.stages`) back-to-front so results never skip a stage —
 complete, banks (writeback + operand reads), dispatch (+ execute), and
-issue.  All mutable pipeline state lives in one shared
-:class:`~repro.gpu.stages.EngineState`; static per-instruction facts
-are precomputed once per trace by the decode cache
-(:mod:`repro.gpu.decode`).
+issue — and holds no stage logic of its own.  All mutable pipeline
+state lives in one shared :class:`~repro.gpu.stages.EngineState`;
+static per-instruction facts are precomputed once per trace by the
+decode cache (:mod:`repro.gpu.decode`).  Per-warp issue state
+(:class:`_WarpState`) sits in a table keyed by warp id that the stages
+index directly.
 
 Operand movement is delegated to an
 :class:`~repro.gpu.collector.OperandProvider` — the one pluggable
@@ -77,14 +79,6 @@ class _WarpState:
         self.sb_preds: set = set()
         self.sb_pred_reads: dict = {}
 
-    @property
-    def done(self) -> bool:
-        return self.pc >= self.end
-
-    @property
-    def next_instruction(self) -> Optional[Instruction]:
-        return None if self.pc >= self.end else self.trace[self.pc]
-
 
 @dataclass
 class SimulationResult:
@@ -152,9 +146,6 @@ class SMEngine:
                 self.scoreboard.warp_views(warp.warp_id)
             )
             self._warp_by_id[warp.warp_id] = warp
-        self._warp_index_by_id = {
-            warp.warp_id: index for index, warp in enumerate(self.warps)
-        }
 
         self.state = EngineState()
         self.state.active_warps = sum(1 for warp in self.warps if warp.end)
@@ -204,13 +195,6 @@ class SMEngine:
     def cycle(self, value: int) -> None:
         self.state.cycle = value
 
-    def warp_state(self, warp_id: int) -> _WarpState:
-        """The issue-side state of ``warp_id``."""
-        try:
-            return self._warp_by_id[warp_id]
-        except KeyError:
-            raise SimulationError(f"unknown warp id {warp_id}") from None
-
     def _build_schedulers(self):
         groups: Dict[int, List[int]] = {}
         for warp in self.warps:
@@ -240,67 +224,64 @@ class SMEngine:
         The value becomes architecturally visible immediately (a read
         racing the queued write would be served by write-buffer
         forwarding in hardware); the queue entry models only the bank
-        port the write will consume.
+        port the write will consume.  With ``release_on_grant`` the
+        bank grant releases ``entry``'s scoreboard.
         """
+        bank = None
         if entry is not None:
             warp_id = entry.warp_id
-            register_id = entry.inst.dest.id  # type: ignore[union-attr]
+            dec = entry.dec
+            if dec is None:
+                register_id = entry.inst.dest.id  # type: ignore[union-attr]
+            else:
+                register_id = dec.dest_id
+                bank = dec.dest_bank
         if warp_id is None or register_id is None:
             raise SimulationError("enqueue_rf_write needs a target register")
+        if bank is None:
+            bank = self.config.bank_of(warp_id, register_id)
         self.regfile.poke(warp_id, register_id, value)
         state = self.state
         state.write_age += 1
-        queued = QueuedWrite(
-            warp_id=warp_id,
-            register_id=register_id,
-            value=value,
-            age=state.write_age,
-            bank=self.regfile.bank_of(warp_id, register_id),
-            entry=entry if release_on_grant else None,
-            release_on_grant=release_on_grant,
-        )
-        state.write_queue.append(queued)
-        state.write_requests.append(queued.request)
+        state.write_queue.append(QueuedWrite(
+            warp_id, register_id, value, state.write_age, bank,
+            entry if release_on_grant else None,
+        ))
 
     def release_scoreboard(self, entry: InflightInstruction) -> None:
-        """Release ``entry``'s destination and retire the instruction."""
-        warp = self.warp_state(entry.warp_id)
+        """Release ``entry``'s destinations and retire the instruction."""
+        warp_id = entry.warp_id
+        warp = self._warp_by_id[warp_id]
+        dec = entry.dec
+        if dec.rf_dest_id is not None:
+            warp.sb_pending.discard(dec.rf_dest_id)
+        if dec.pred_dest_id is not None:
+            warp.sb_preds.discard(dec.pred_dest_id)
+        if dec.is_control:
+            warp.control_pending = False
+        state = self.state
         # Releasing shrinks this warp's scoreboard views (and may clear
         # its pending branch), so its cached stall outcome is stale.
-        self.state.issue_dirty.append(entry.warp_id)
-        self.scoreboard.release(entry.warp_id, entry.inst)
-        dec = entry.dec
-        if dec.is_control if dec is not None else entry.inst.is_control:
-            warp.control_pending = False
-        self._retire(entry)
-
-    def _retire(self, entry: InflightInstruction) -> None:
-        self.state.in_flight -= 1
+        state.issue_dirty.append(warp_id)
+        state.in_flight -= 1
         counters = self.counters
         counters.instructions += 1
         if self.recorder is not None:
             self.recorder.emit(
-                self.state.cycle, EventKind.COMMIT, warp=entry.warp_id,
-                trace_index=entry.trace_index, opcode=entry.inst.opcode.name,
+                state.cycle, EventKind.COMMIT, warp=warp_id,
+                trace_index=entry.trace_index, opcode=dec.opcode_name,
             )
-        dec = entry.dec
-        is_memory = dec.is_memory if dec is not None else entry.inst.is_memory
+        is_memory = dec.is_memory
         if is_memory:
             counters.mem_instructions += 1
         if entry.dispatch_cycle is not None:
             wait = entry.dispatch_cycle - entry.issue_cycle
-            lifetime = self.state.cycle - entry.issue_cycle
+            lifetime = state.cycle - entry.issue_cycle
             counters.oc_wait_cycles += wait
             counters.lifetime_cycles += lifetime
             if is_memory:
                 counters.oc_wait_cycles_memory += wait
                 counters.lifetime_cycles_memory += lifetime
-
-    def _warp_index(self, warp_id: int) -> int:
-        try:
-            return self._warp_index_by_id[warp_id]
-        except KeyError:
-            raise SimulationError(f"unknown warp id {warp_id}") from None
 
     # ------------------------------------------------------------------
     # the cycle loop
@@ -312,7 +293,6 @@ class SMEngine:
         counters = self.counters
         timeline = self.timeline
         fast_forward = self.fast_forward
-        new_cycle = self.units.new_cycle
         provider = self.provider
         complete, banks, dispatch, issue = (
             stage.run for stage in self.stages
@@ -326,30 +306,17 @@ class SMEngine:
         use_guards = getattr(provider, "tick_guards", False)
         completion_heap = state.completion_heap
         read_heap = state.read_heap
-        write_requests = state.write_requests
+        write_queue = state.write_queue
         inflight_tags = state.inflight_read_tags
         due_heap = provider.due_heap if use_guards else ()
         ready_list = provider.ready_entries() if use_guards else None
         deliver_reads = self.stages[1]._deliver_due_reads
         collect = self.stages[1].collect
-        units = self.units
-        # Inline mirror of IssueStage's stable-profile cycle (its
-        # dirty/occupancy checks plus the O(1) charge) saves two call
-        # frames on the most common cycle shape.  It must replicate the
-        # stage's fast path exactly, so it only arms when no recorder
-        # wants per-cycle stall events; any other cycle falls through
-        # to the real issue() call.
-        issue_stage = self.stages[3]
-        issue_dirty = state.issue_dirty
-        issue_replay_ok = getattr(issue_stage, "_replay_ok", False)
-        issue_inline = use_guards and self.recorder is None
         idle_cycles = 0
-        while state.active_warps or state.in_flight or state.write_queue:
+        while state.active_warps or state.in_flight or write_queue:
             if state.cycle >= max_cycles:
                 raise DeadlockError("max_cycles exceeded", state.cycle)
             cycle = state.cycle = state.cycle + 1
-            if units._any:
-                new_cycle()
             if use_guards:
                 progress = (
                     complete()
@@ -359,32 +326,14 @@ class SMEngine:
                 if read_heap and read_heap[0] <= cycle:
                     progress |= deliver_reads(cycle)
                 if (
-                    write_requests
+                    write_queue
                     or provider.heads_pending > len(inflight_tags)
                     or (due_heap and due_heap[0] <= cycle)
                 ):
                     progress |= collect(cycle)
                 if ready_list:
                     progress |= dispatch()
-                profile = issue_stage._profile
-                if (
-                    issue_inline
-                    and profile is not None
-                    and not issue_dirty
-                    and (state.active_warps or not issue_replay_ok)
-                    and (
-                        profile.occupancy_gen == state.occupancy_gen
-                        or not profile.collector_ids
-                    )
-                ):
-                    # Stable profile: same charge _run_profile's fast
-                    # path would make, without entering the stage.
-                    profile.occupancy_gen = state.occupancy_gen
-                    counters.issue_stalls_scoreboard += profile.n_scoreboard
-                    counters.issue_stalls_collector += profile.n_collector
-                    issue_stage._pending_idle += 1
-                else:
-                    progress |= issue()
+                progress |= issue()
             else:
                 progress = complete() | banks() | dispatch() | issue()
             counters.cycles = cycle
@@ -480,35 +429,35 @@ class SMEngine:
         stalls for ready-but-undispatchable entries, scheduler and
         provider bulk hooks, and the owed timeline samples.
 
-        The issue profile is the stall log the issue stage charged on
-        the idle cycle being extended: issue-relevant state only
-        changes at an issue, a dispatch, or a scoreboard release, all
-        of which make their cycle a progress cycle — so across a
-        provably idle span the per-cycle walk would re-derive exactly
-        those charges.  The dispatch side is re-derived here instead,
-        because a provider-internal delivery (e.g. an RFC cache hit)
-        can make an entry ready without counting as progress; if any
-        ready entry could actually dispatch, the jump is aborted and
-        the caller falls back to per-cycle stepping — a bulk charge
-        must never guess.
+        The issue side repeats what the issue stage charged on the idle
+        cycle being extended (:meth:`IssueStage.charge_span`):
+        issue-relevant state only changes at an issue, a dispatch, or a
+        scoreboard release, all of which make their cycle a progress
+        cycle — so across a provably idle span the per-cycle walk would
+        re-derive exactly those charges.  The dispatch side is
+        re-derived here instead, because a provider-internal delivery
+        (e.g. an RFC cache hit) can make an entry ready without
+        counting as progress; if any ready entry could actually
+        dispatch, the jump is aborted and the caller falls back to
+        per-cycle stepping — a bulk charge must never guess.
         """
         state = self.state
         provider = self.provider
         recorder = self.recorder
         counters = self.counters
-        profile = self._issue_stage.current_stalls()
         ready = provider.ready_entries()
         blocked = []
         if ready:
             undispatched_mem = state.undispatched_mem
-            can_dispatch = self.units.can_dispatch_bucket
+            used = self.units.used
+            capacity = self.units.capacity
             for entry in ready:
                 dec = entry.dec
                 if dec.is_memory:
                     pending = undispatched_mem.get(entry.warp_id)
                     if pending and min(pending) != entry.trace_index:
                         continue
-                if can_dispatch(dec.bucket):
+                if used[dec.bucket] < capacity[dec.bucket]:
                     return 0
                 blocked.append(entry)
 
@@ -517,17 +466,7 @@ class SMEngine:
         counters.cycles = state.cycle
         counters.fast_forwarded_cycles += span
         stamp = start + 1  # coalesced events carry the first skipped cycle
-        for warp_id, reason, pc, opcode_name in profile:
-            if reason == "scoreboard":
-                counters.issue_stalls_scoreboard += span
-            else:
-                counters.issue_stalls_collector += span
-            if recorder is not None:
-                recorder.emit(
-                    stamp, EventKind.ISSUE_STALL, warp=warp_id,
-                    reason=reason, trace_index=pc,
-                    opcode=opcode_name, count=span,
-                )
+        self._issue_stage.charge_span(span, stamp)
         for entry in blocked:
             counters.exec_busy_stalls += span
             if recorder is not None:
@@ -538,8 +477,6 @@ class SMEngine:
                 )
         if ready:
             state.dispatch_rotor += span
-        for scheduler in self.schedulers:
-            scheduler.on_idle_span(span)
         provider.on_fast_forward(span)
         if self.timeline is not None:
             self.timeline.advance(
@@ -547,14 +484,6 @@ class SMEngine:
                 self.regfile.reads, self.regfile.writes,
             )
         return span
-
-    def _finished(self) -> bool:
-        state = self.state
-        return (
-            state.active_warps == 0
-            and state.in_flight == 0
-            and not state.write_queue
-        )
 
     def _drain_write_queue(self) -> None:
         """Flush writes left after the last instruction retires."""
@@ -568,7 +497,6 @@ class SMEngine:
                     register=queued.register_id,
                 )
         self.state.write_queue.clear()
-        self.state.write_requests.clear()
 
 
 def simulate_baseline(

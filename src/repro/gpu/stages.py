@@ -7,7 +7,8 @@ explicit stage object here, all sharing one typed :class:`EngineState`:
 1. :class:`CompleteStage` — functional units finishing this cycle hand
    results to the operand provider, which routes them (RF queue /
    collector / both, depending on the design).
-2. :class:`BankStage` — queued RF writes arbitrate for bank ports
+2. :class:`BankStage` — queued RF writes (each one its own bank
+   request, see :class:`QueuedWrite`) arbitrate for bank ports
    together with the provider's operand reads; granted writes may
    release the scoreboard, granted reads enter the bank/crossbar
    pipeline and deliver after ``rf_read_latency``.
@@ -16,51 +17,55 @@ explicit stage object here, all sharing one typed :class:`EngineState`:
    widths; execution semantics run here and schedule a completion.
 4. :class:`IssueStage` — schedulers pick warps (GTO by default); the
    next trace instruction issues when the scoreboard is clear, the
-   provider has room, and no branch is unresolved.
+   provider has room, and no branch is unresolved.  One walk does it,
+   charging every warp whose stall is provably unchanged from a cached
+   per-warp stall profile.
 
 The stages read static per-instruction facts from the decode cache
-(:mod:`repro.gpu.decode`) instead of re-deriving them per cycle; the
-simulated machine is cycle-for-cycle identical to the pre-stage engine.
-Stage objects hold only references into the engine — all mutable
-per-run state lives in :class:`EngineState`.
+(:mod:`repro.gpu.decode`) and look warps up in the engine's per-warp
+table instead of re-deriving anything per cycle.  Stage objects hold
+only references into the engine — all mutable per-run state lives in
+:class:`EngineState` (plus the issue stage's profile, a cache of what
+that state implies).
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..stats.trace import EventKind
 from .banks import AccessRequest
 from .collector import InflightInstruction
+from .execution import BUCKET_ALU, BUCKET_MEM, BUCKET_SFU
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .sm import SMEngine
 
 
-class QueuedWrite:
-    """One pending RF write awaiting a bank port."""
+class QueuedWrite(AccessRequest):
+    """One pending RF write awaiting a bank port.
 
-    __slots__ = ("warp_id", "register_id", "value", "age", "bank",
-                 "entry", "release_on_grant", "request")
+    The write *is* its own bank request: its bank, register and age
+    never change while it waits, so the queue entry goes to the arbiter
+    as-is and comes back as the grant.  ``tag`` stays ``None`` (the
+    grant is the object itself), so a queued write holds no reference
+    back to itself.  ``entry`` is the instruction whose scoreboard the
+    grant releases, or ``None`` when the provider released it already.
+    """
+
+    __slots__ = ("value", "entry")
 
     def __init__(self, warp_id: int, register_id: int, value: int, age: int,
-                 bank: int, entry: Optional[InflightInstruction] = None,
-                 release_on_grant: bool = False):
+                 bank: int, entry: Optional[InflightInstruction] = None):
+        self.bank = bank
         self.warp_id = warp_id
         self.register_id = register_id
-        self.value = value
+        self.tag = None
         self.age = age
-        self.bank = bank
+        self.value = value
         self.entry = entry
-        self.release_on_grant = release_on_grant
-        # The bank request is immutable for the write's whole queue
-        # life, so it is built once here instead of every cycle the
-        # write waits for a port.  Its tag is the QueuedWrite itself.
-        self.request = AccessRequest(
-            bank=bank, warp_id=warp_id, register_id=register_id,
-            tag=self, age=age,
-        )
 
 
 class EngineState:
@@ -68,7 +73,8 @@ class EngineState:
 
     Attributes:
         cycle: current simulated cycle (0 before the first step).
-        write_queue: RF writes awaiting a bank port, oldest first.
+        write_queue: RF writes awaiting a bank port, oldest first (each
+            one is also its own bank request).
         completions: finish cycle -> [(entry, result value)].
         reads_in_flight: granted reads in the bank/crossbar pipeline,
             delivery cycle -> [(tag, warp_id, register_id)].
@@ -96,7 +102,7 @@ class EngineState:
             profile instead of re-walking every warp.
     """
 
-    __slots__ = ("cycle", "write_queue", "write_requests", "completions",
+    __slots__ = ("cycle", "write_queue", "completions",
                  "reads_in_flight", "inflight_read_tags", "in_flight",
                  "active_warps", "dispatch_rotor", "write_age",
                  "undispatched_mem", "completion_heap", "read_heap",
@@ -105,9 +111,6 @@ class EngineState:
     def __init__(self) -> None:
         self.cycle = 0
         self.write_queue: List[QueuedWrite] = []
-        # Mirror of write_queue's prebuilt AccessRequests, maintained
-        # incrementally so the bank stage never rebuilds it per cycle.
-        self.write_requests: List[AccessRequest] = []
         self.completions: Dict[
             int, List[Tuple[InflightInstruction, Optional[int]]]
         ] = {}
@@ -124,24 +127,6 @@ class EngineState:
         # Generation of provider occupancy (inserts and dispatches):
         # the key for cached "collector" stall outcomes.
         self.occupancy_gen = 0
-
-
-def next_due_cycle(heap: List[int], table: Dict[int, list],
-                   cycle: int) -> Optional[int]:
-    """The earliest due cycle after ``cycle``, discarding stale heads.
-
-    A heap entry goes stale when its bucket was drained at its due
-    cycle (the dict key is popped but the heap entry stays); stale
-    heads are lazily removed here and by the stages' per-cycle hygiene
-    pops, so the peek stays amortized O(log n).
-    """
-    while heap:
-        due = heap[0]
-        if due <= cycle or due not in table:
-            heappop(heap)
-            continue
-        return due
-    return None
 
 
 class _Stage:
@@ -186,7 +171,7 @@ class BankStage(_Stage):
 
     __slots__ = ("_read_due_delta", "_crossbar_width", "_read_requests",
                  "_filter_inflight", "_arbitrate", "_num_banks",
-                 "_check_request")
+                 "_check_request", "_regfile")
 
     def __init__(self, engine: "SMEngine"):
         super().__init__(engine)
@@ -203,6 +188,7 @@ class BankStage(_Stage):
         self._arbitrate = engine.arbiter.arbitrate
         self._num_banks = engine.arbiter.num_banks
         self._check_request = engine.arbiter._check
+        self._regfile = engine.regfile
 
     def run(self) -> bool:
         cycle = self.state.cycle
@@ -222,63 +208,41 @@ class BankStage(_Stage):
         reads = self._read_requests(cycle)
         if tags and reads and self._filter_inflight:
             reads = [request for request in reads if request.tag not in tags]
-        writes = state.write_requests
-        if not reads and len(writes) == 1:
-            # Lone write: nothing to conflict with, grant in place —
-            # the same bookkeeping the granted_writes loop below does,
-            # minus the arbitration round trip.
-            request = writes[0]
-            if not 0 <= request.bank < self._num_banks:
-                self._check_request(request)  # raises
-            queued = request.tag
-            state.write_queue.remove(queued)
-            del writes[0]
-            engine.regfile.write(queued.warp_id, queued.register_id,
-                                 queued.value)
-            recorder = engine.recorder
-            if recorder is not None:
-                recorder.emit(
-                    cycle, EventKind.WRITEBACK, warp=queued.warp_id,
-                    reason="granted", register=queued.register_id,
-                    bank=queued.bank,
-                )
-            if queued.release_on_grant and queued.entry is not None:
-                engine.release_scoreboard(queued.entry)
-            return True
+        writes = state.write_queue
+        num_banks = self._num_banks
+        # A lone request (read or write) cannot conflict with anything:
+        # grant it in place, without an arbitration round trip.
         if not writes:
             if not reads:
                 return False
             if len(reads) == 1:
-                # Lone read: nothing to conflict with, grant in place
-                # without building an ArbitrationResult.
-                request = reads[0]
-                if not 0 <= request.bank < self._num_banks:
-                    self._check_request(request)  # raises
-                due = cycle + self._read_due_delta
-                pending = state.reads_in_flight.get(due)
-                if pending is None:
-                    pending = state.reads_in_flight[due] = []
-                    heappush(state.read_heap, due)
-                tags.add(request.tag)
-                pending.append(
-                    (request.tag, request.warp_id, request.register_id)
-                )
-                return True
+                granted_reads = reads
+                if not 0 <= reads[0].bank < num_banks:
+                    self._check_request(reads[0])  # raises
+            else:
+                result = self._arbitrate(reads, writes)
+                granted_reads = result.granted_reads
+                if result.conflicts:
+                    self._charge_conflicts(cycle, result.conflicts)
+            granted_writes = ()
+        elif not reads and len(writes) == 1:
+            granted_writes = [writes[0]]
+            if not 0 <= writes[0].bank < num_banks:
+                self._check_request(writes[0])  # raises
+            granted_reads = ()
+        else:
+            result = self._arbitrate(reads, writes)
+            granted_reads = result.granted_reads
+            granted_writes = result.granted_writes
+            if result.conflicts:
+                self._charge_conflicts(cycle, result.conflicts)
 
-        result = self._arbitrate(reads, writes)
-        recorder = engine.recorder
-        engine.counters.bank_conflicts += result.conflicts
-        if recorder is not None and result.conflicts:
-            recorder.emit(cycle, EventKind.BANK_CONFLICT,
-                          count=result.conflicts)
-
-        if result.granted_writes:
-            regfile_write = engine.regfile.write
-            write_queue = state.write_queue
-            for request in result.granted_writes:
-                queued = request.tag
-                write_queue.remove(queued)
-                writes.remove(request)
+        if granted_writes:
+            recorder = engine.recorder
+            regfile_write = self._regfile.write
+            release = engine.release_scoreboard
+            for queued in granted_writes:
+                writes.remove(queued)
                 regfile_write(queued.warp_id, queued.register_id,
                               queued.value)
                 if recorder is not None:
@@ -287,10 +251,10 @@ class BankStage(_Stage):
                         reason="granted", register=queued.register_id,
                         bank=queued.bank,
                     )
-                if queued.release_on_grant and queued.entry is not None:
-                    engine.release_scoreboard(queued.entry)
+                if queued.entry is not None:
+                    release(queued.entry)
 
-        if result.granted_reads:
+        if granted_reads:
             # Granted reads occupy the bank port now; the data lands in
             # the collector after the bank/crossbar pipeline latency.
             due = cycle + self._read_due_delta
@@ -298,13 +262,20 @@ class BankStage(_Stage):
             if pending is None:
                 pending = state.reads_in_flight[due] = []
                 heappush(state.read_heap, due)
-            for request in result.granted_reads:
+            for request in granted_reads:
                 tags.add(request.tag)
                 pending.append(
                     (request.tag, request.warp_id, request.register_id)
                 )
             return True
-        return bool(result.granted_writes)
+        return bool(granted_writes)
+
+    def _charge_conflicts(self, cycle: int, conflicts: int) -> None:
+        engine = self.engine
+        engine.counters.bank_conflicts += conflicts
+        if engine.recorder is not None:
+            engine.recorder.emit(cycle, EventKind.BANK_CONFLICT,
+                                 count=conflicts)
 
     def _deliver_due_reads(self, cycle: int) -> bool:
         state = self.state
@@ -317,7 +288,6 @@ class BankStage(_Stage):
         due = state.reads_in_flight.pop(cycle, None)
         if not due:
             return False
-        engine = self.engine
         width = self._crossbar_width
         if width and len(due) > width:
             # The crossbar moves at most `width` operands per cycle;
@@ -329,27 +299,29 @@ class BankStage(_Stage):
                 heappush(heap, cycle + 1)
             overflow.extend(deferred)
         discard = state.inflight_read_tags.discard
-        regfile_read = engine.regfile.read
-        deliver = engine.provider.deliver
+        regfile_read = self._regfile.read
+        deliver = self.engine.provider.deliver
         for tag, warp_id, register_id in due:
             discard(tag)
             deliver(tag, regfile_read(warp_id, register_id))
         return True
 
 
-def _dispatch_age(entry):
-    """Oldest-first dispatch order within one warp's ready bucket."""
-    return (entry.issue_cycle, entry.trace_index)
+#: Dispatch priority: warp, then oldest-first within the warp —
+#: ``(issue_cycle, trace_index)`` is unique within a warp, so the order
+#: is total.
+_dispatch_key = attrgetter("warp_id", "issue_cycle", "trace_index")
 
 
 class DispatchStage(_Stage):
     """Send operand-complete instructions to the functional units."""
 
-    __slots__ = ("_ready_entries",)
+    __slots__ = ("_ready_entries", "_warps")
 
     def __init__(self, engine: "SMEngine"):
         super().__init__(engine)
         self._ready_entries = engine.provider.ready_entries
+        self._warps = engine._warp_by_id
 
     def run(self) -> bool:
         engine = self.engine
@@ -361,40 +333,38 @@ class DispatchStage(_Stage):
         counters = engine.counters
         recorder = engine.recorder
         units = engine.units
+        used = units.used
+        capacity = units.capacity
+        # A fresh budget: this stage runs at most once per cycle, and
+        # the fast-forward check only reads the budget on cycles where
+        # it ran (ready entries exist).
+        used[BUCKET_ALU] = used[BUCKET_SFU] = used[BUCKET_MEM] = 0
         undispatched_mem = state.undispatched_mem
         if len(ready) > 1:
             # Round-robin across warps (paper SS IV-A), oldest-first
-            # per warp.  ``ready`` is the provider's own list, so order
-            # (and iterate) a copy — on_dispatch mutates the original.
-            # Grouping first and sorting the (tiny) per-warp buckets
-            # orders exactly like one global (warp, issue, trace) sort
-            # — (issue_cycle, trace_index) is unique within a warp —
-            # without building a key tuple per entry.
-            by_warp: Dict[int, List[InflightInstruction]] = {}
-            for entry in ready:
-                bucket = by_warp.get(entry.warp_id)
-                if bucket is None:
-                    bucket = by_warp[entry.warp_id] = []
-                bucket.append(entry)
-            warp_order = sorted(by_warp)
-            rotor = state.dispatch_rotor % len(warp_order)
-            warp_order = warp_order[rotor:] + warp_order[:rotor]
-            for bucket in by_warp.values():
-                if len(bucket) > 1:
-                    bucket.sort(key=_dispatch_age)
-            ready = [
-                entry
-                for warp_id in warp_order
-                for entry in by_warp[warp_id]
-            ]
+            # per warp: one sort by (warp, age), then the warps from
+            # the rotor's pick onward go first.  ``ready`` is the
+            # provider's own list, so the sort makes the copy
+            # on_dispatch may not touch.
+            ready = sorted(ready, key=_dispatch_key)
+            warp_ids = sorted({entry.warp_id for entry in ready})
+            pivot = warp_ids[state.dispatch_rotor % len(warp_ids)]
+            if pivot != warp_ids[0]:
+                split = 0
+                while ready[split].warp_id != pivot:
+                    split += 1
+                ready = ready[split:] + ready[:split]
         else:
             ready = (ready[0],)
         # A lone entry needs no ordering, but the rotor still advances:
         # it only ticks on cycles with ready entries, exactly as before.
         state.dispatch_rotor += 1
 
-        dispatched = False
+        dispatched = 0
         on_dispatch = engine.provider.on_dispatch
+        warps = self._warps
+        completions = state.completions
+        issue_dirty = state.issue_dirty
         for entry in ready:
             warp_id = entry.warp_id
             dec = entry.dec
@@ -405,7 +375,7 @@ class DispatchStage(_Stage):
                 if pending and min(pending) != entry.trace_index:
                     continue
             bucket = dec.bucket
-            if not units.can_dispatch_bucket(bucket):
+            if used[bucket] >= capacity[bucket]:
                 counters.exec_busy_stalls += 1
                 if recorder is not None:
                     recorder.emit(
@@ -415,9 +385,8 @@ class DispatchStage(_Stage):
                         opcode=dec.opcode_name,
                     )
                 continue
-            units.dispatch_bucket(bucket)
+            used[bucket] += 1
             on_dispatch(entry)
-            state.occupancy_gen += 1
             entry.dispatch_cycle = cycle
             if recorder is not None:
                 recorder.emit(
@@ -425,14 +394,13 @@ class DispatchStage(_Stage):
                     trace_index=entry.trace_index,
                     opcode=dec.opcode_name,
                 )
-            # Drop the scoreboard's WAR reader marks: the operands
-            # are collected, and the guard is sampled this cycle
-            # (in _execute), so younger writers may proceed.
-            warp_state = engine.warp_state(warp_id)
-            # Dispatch drops this warp's WAR reader marks, may resolve
+            # Dispatch drops this warp's WAR reader marks (the operands
+            # are collected, and the guard is sampled this cycle in
+            # _execute, so younger writers may proceed), may resolve
             # its branch, and frees a provider slot — issue-relevant.
-            state.issue_dirty.append(warp_id)
-            reads = warp_state.sb_reads
+            warp = warps[warp_id]
+            issue_dirty.append(warp_id)
+            reads = warp.sb_reads
             for reg_id in dec.source_ids:
                 remaining = reads.get(reg_id, 0) - 1
                 if remaining > 0:
@@ -440,7 +408,7 @@ class DispatchStage(_Stage):
                 else:
                     reads.pop(reg_id, None)
             if dec.guard_id is not None:
-                pred_reads = warp_state.sb_pred_reads
+                pred_reads = warp.sb_pred_reads
                 remaining = pred_reads.get(dec.guard_id, 0) - 1
                 if remaining > 0:
                     pred_reads[dec.guard_id] = remaining
@@ -448,29 +416,26 @@ class DispatchStage(_Stage):
                     pred_reads.pop(dec.guard_id, None)
             if dec.is_memory:
                 undispatched_mem[warp_id].discard(entry.trace_index)
+                latency = engine.memory.latency(dec.inst, warp_id,
+                                                entry.trace_index)
+            else:
+                latency = dec.latency
             if dec.is_control:
                 # The next PC is determined once the branch leaves
                 # the collector; issue of the successor may resume.
-                warp_state.control_pending = False
-            self._start_execution(entry, dec)
-            dispatched = True
-        return dispatched
-
-    def _start_execution(self, entry: InflightInstruction, dec) -> None:
-        engine = self.engine
-        state = self.state
-        if dec.is_memory:
-            latency = engine.memory.latency(dec.inst, entry.warp_id,
-                                            entry.trace_index)
-        else:
-            latency = dec.latency
-        value = self._execute(entry, dec)
-        finish = state.cycle + (latency if latency > 1 else 1)
-        bucket = state.completions.get(finish)
-        if bucket is None:
-            bucket = state.completions[finish] = []
-            heappush(state.completion_heap, finish)
-        bucket.append((entry, value))
+                warp.control_pending = False
+            # Execute now; the result lands at the finish cycle.
+            value = self._execute(entry, dec)
+            finish = cycle + (latency if latency > 1 else 1)
+            finishing = completions.get(finish)
+            if finishing is None:
+                finishing = completions[finish] = []
+                heappush(state.completion_heap, finish)
+            finishing.append((entry, value))
+            dispatched += 1
+        # Each dispatch freed a provider slot.
+        state.occupancy_gen += dispatched
+        return dispatched > 0
 
     def _execute(self, entry: InflightInstruction, dec) -> Optional[int]:
         """Functional semantics using the *collected* operand values."""
@@ -526,8 +491,8 @@ class _IssueProfile:
     each scheduler's ``(start, end)`` span of ``slots``, with
     per-scheduler stall sums in ``sched_sb`` / ``sched_col`` and the
     grand totals in ``n_scoreboard`` / ``n_collector`` — so both a
-    fully stable cycle and an untouched scheduler inside a sparse walk
-    charge in O(1).  ``collector_ids`` tracks which warps are
+    fully stable cycle and an untouched scheduler inside a walk charge
+    in O(1).  ``collector_ids`` tracks which warps are
     collector-stalled (the only outcomes that depend on provider
     occupancy); ``occupancy_gen`` is the occupancy generation the
     profile was last validated against.
@@ -594,50 +559,87 @@ class _IssueProfile:
                 self.collector_ids.add(warp_id)
         slot[1] = outcome
 
+    def rederive(self, warp, can_accept) -> bool:
+        """Re-check ``warp``'s hazards and record its outcome.
 
-#: Sentinel: the re-derived warp could issue, so this cycle must run a
-#: real (sparse) walk.
-_ISSUABLE = object()
+        Returns True when the warp could issue now; its slot is then
+        left for the walk that follows, which visits the warp live and
+        records what it learns.  A stall at the same pc for the same
+        reason (the common case: a still-blocked warp whose other
+        instructions moved) leaves the slot and the sums untouched.
+        """
+        warp_id = warp.warp_id
+        pc = warp.pc
+        if pc >= warp.end or warp.control_pending:
+            self.patch(warp_id, None)
+            return False
+        dec = warp.decoded[pc]
+        sb_pending = warp.sb_pending
+        for reg_id in dec.source_ids:
+            if reg_id in sb_pending:  # RAW
+                reason = "scoreboard"
+                break
+        else:
+            dest_id = dec.rf_dest_id
+            pred_dest_id = dec.pred_dest_id
+            if (
+                dest_id is not None and (
+                    dest_id in sb_pending  # WAW
+                    or warp.sb_reads.get(dest_id))  # WAR
+                or dec.guard_id is not None and dec.guard_id in warp.sb_preds
+                or pred_dest_id is not None and (
+                    pred_dest_id in warp.sb_preds
+                    or warp.sb_pred_reads.get(pred_dest_id))
+            ):
+                reason = "scoreboard"
+            elif can_accept(warp_id):
+                return True
+            else:
+                reason = "collector"
+        old = self.slots[self.index[warp_id]][1]
+        if old is None or old[2] != pc or old[1] != reason:
+            self.patch(warp_id, (warp_id, reason, pc, dec.opcode_name))
+        return False
 
 
 class IssueStage(_Stage):
     """Schedulers pick warps; hazard-free instructions enter collectors.
 
-    The full hazard walk touches every schedulable warp every cycle,
-    which dominates the engine's per-cycle cost during long memory
+    A hazard walk touches every schedulable warp every cycle, which
+    would dominate the engine's per-cycle cost during long memory
     stalls.  Its outcome, however, is a pure function of issue-relevant
     state — warp PCs, ``control_pending``, the scoreboard views, and
     provider occupancy — all of which only change at an issue, a
     dispatch, or a scoreboard release.  The engine records *which*
     warps those events touched in ``EngineState.issue_dirty``, so after
-    one fruitless walk this stage keeps an :class:`_IssueProfile` and,
-    instead of re-walking, re-derives only the dirty warps and patches
-    the profile.  A stable stall cycle charges its counters from the
+    the first walk that issues nothing this stage keeps an
+    :class:`_IssueProfile` and, each cycle, re-derives only the dirty
+    warps into it.  A stable stall cycle charges its counters from the
     precomputed sums in O(1); a cycle where one completion released one
-    warp costs one hazard re-check instead of a full walk; and when a
-    re-derived warp turns out issuable, a *sparse* walk runs: it visits
-    the scheduler order as usual but performs the hazard checks only
-    for warps whose outcome could have moved (the dirty ones and the
-    collector-stalled ones), charging every other warp straight from
-    the profile — the profile itself is patched with what the walk
-    learns, so it survives issue cycles instead of being rebuilt by a
-    full walk afterwards.  Warps the walk leaves in an unknown state
-    (they issued, or the issue budget ran out mid-warp) are marked
-    dirty for the next cycle.  The cache never guesses: every charge
-    either comes from a live hazard check or from an outcome proven
-    unchanged since one.
+    warp costs one hazard re-check; and when a re-derived warp turns
+    out issuable, the one walk (:meth:`_walk`) runs with the profile:
+    it visits the scheduler order as usual but performs the hazard
+    checks only for warps whose outcome could have moved (the issuable
+    ones and the collector-stalled ones), charging every other warp
+    straight from the profile, and patches the profile with what it
+    learns.  Warps the walk leaves in an unknown state (they issued,
+    or the issue budget ran out mid-warp) are marked dirty for the next
+    cycle.  The cache never guesses: every charge either comes from a
+    live hazard check or from an outcome proven unchanged since one.
 
-    The O(1) stall path replays the walk's scheduler side effects
-    through ``on_idle_span(1)`` — exactly the bulk-idle contract the
+    The O(1) stall paths replay the walk's scheduler side effects
+    through ``on_idle_span`` — exactly the bulk-idle contract the
     fast-forward path uses — which is only valid for schedulers whose
     ``idle_span_limit()`` is statically ``None`` (greedy reset, LRR
-    pointer advance).  A two-level scheduler with a pending set mutates
-    state per ``note_stall``, so profiling is disabled for it up front
-    and every cycle takes the full walk.
+    pointer advance).  Spans compose additively, so each scheduler's
+    owed idle cycles are only handed over when the walk next consults
+    it.  A two-level scheduler with a pending set mutates state per
+    ``note_stall``, so profiling is disabled for it up front and every
+    cycle walks every warp live.
     """
 
     __slots__ = ("_issue_width", "_replay_ok", "_profile", "last_stalls",
-                 "_member_sets", "_pending_idle")
+                 "_idle_clock", "_synced", "_warps", "_schedulers")
 
     def __init__(self, engine: "SMEngine"):
         super().__init__(engine)
@@ -650,97 +652,99 @@ class IssueStage(_Stage):
             for scheduler in engine.schedulers
         )
         self._profile: Optional[_IssueProfile] = None
-        # Ownership is fixed, so each scheduler's member set can back a
-        # fast "does this scheduler hold any live warp" test.
-        self._member_sets = [
-            frozenset(scheduler.warp_ids)
-            for scheduler in engine.schedulers
-        ]
-        # Stall charges of the most recent full walk; the fast-forward
-        # jump reads current_stalls() (profile-aware) instead.
+        self._warps = engine._warp_by_id
+        # Stall charges of the most recent walk without a profile (a
+        # profile, when present, holds the current ones).
         self.last_stalls: List[tuple] = []
-        # All-stall cycles whose per-scheduler bulk-idle hooks are still
-        # owed.  on_idle_span spans compose additively (greedy reset is
-        # idempotent, LRR pointers sum), so the O(1) stall path just
-        # counts cycles here and the batch is flushed the moment any
-        # walk is about to consult scheduler state (candidate_order).
-        self._pending_idle = 0
+        self._schedulers = engine.schedulers
+        # All-stall cycles so far: O(1) stall cycles, fast-forward
+        # spans, and walks (for the schedulers they skip).  A scheduler
+        # owes the bulk-idle hook every cycle since the clock value it
+        # was last synced at; spans compose additively (greedy reset is
+        # idempotent, LRR pointers sum), so they are handed over in one
+        # on_idle_span call just before the walk next consults it.
+        self._idle_clock = 0
+        self._synced = [0] * len(engine.schedulers)
 
-    def current_stalls(self) -> List[tuple]:
-        """The stall charges of the cycle just simulated.
+    def charge_span(self, span: int, stamp: int) -> None:
+        """Charge the cycle just simulated ``span`` more times.
 
-        The fast-forward jump replays these (coalesced) for every
-        skipped cycle: across a provably idle span nothing
-        issue-relevant can change, so the per-cycle walk would re-derive
-        exactly the same charges.
+        The fast-forward jump calls this for a provably idle span:
+        nothing issue-relevant can change across it, so the per-cycle
+        walk would re-derive exactly this cycle's stall charges.  The
+        counters take them in bulk, each stalled warp gets one
+        coalesced (``count=span``) ISSUE_STALL event stamped ``stamp``,
+        and every scheduler owes the span's bulk-idle hook (a span only
+        happens when every scheduler is replay-ok: any other caps the
+        horizon at zero).
         """
-        profile = self._profile
-        if profile is not None:
-            return [
-                charge for _, charge in profile.slots if charge is not None
-            ]
-        return self.last_stalls
-
-    def _derive_outcome(self, warp, can_accept):
-        """One warp's walk outcome: a charge tuple, None, or _ISSUABLE."""
-        pc = warp.pc
-        if pc >= warp.end or warp.control_pending:
-            return None
-        dec = warp.decoded[pc]
-        sb_pending = warp.sb_pending
-        for reg_id in dec.source_ids:
-            if reg_id in sb_pending:  # RAW
-                return (warp.warp_id, "scoreboard", pc, dec.opcode_name)
-        dest_id = dec.rf_dest_id
-        if dest_id is not None and (
-            dest_id in sb_pending  # WAW
-            or warp.sb_reads.get(dest_id)  # WAR
-        ):
-            return (warp.warp_id, "scoreboard", pc, dec.opcode_name)
-        if dec.guard_id is not None and dec.guard_id in warp.sb_preds:
-            return (warp.warp_id, "scoreboard", pc, dec.opcode_name)
-        if dec.pred_dest_id is not None and (
-            dec.pred_dest_id in warp.sb_preds
-            or warp.sb_pred_reads.get(dec.pred_dest_id)
-        ):
-            return (warp.warp_id, "scoreboard", pc, dec.opcode_name)
-        if not can_accept(warp.warp_id):
-            return (warp.warp_id, "collector", pc, dec.opcode_name)
-        return _ISSUABLE
-
-    def _run_profile(self, profile: _IssueProfile) -> bool:
-        """Charge the cached profile, patching dirty warps first."""
         engine = self.engine
+        profile = self._profile
+        if profile is None:
+            stalls = self.last_stalls
+            n_scoreboard = sum(
+                1 for charge in stalls if charge[1] == "scoreboard")
+            n_collector = len(stalls) - n_scoreboard
+        else:
+            n_scoreboard = profile.n_scoreboard
+            n_collector = profile.n_collector
+        counters = engine.counters
+        counters.issue_stalls_scoreboard += span * n_scoreboard
+        counters.issue_stalls_collector += span * n_collector
+        recorder = engine.recorder
+        if recorder is not None:
+            if profile is not None:
+                stalls = [
+                    charge for _, charge in profile.slots
+                    if charge is not None
+                ]
+            for warp_id, reason, pc, opcode_name in stalls:
+                recorder.emit(
+                    stamp, EventKind.ISSUE_STALL, warp=warp_id,
+                    reason=reason, trace_index=pc,
+                    opcode=opcode_name, count=span,
+                )
+        self._idle_clock += span
+
+    def run(self) -> bool:
         state = self.state
         dirty = state.issue_dirty
+        if state.active_warps == 0 and self._replay_ok:
+            # Drain phase: every warp has issued its last instruction,
+            # so the walk can never charge a stall again — only the
+            # schedulers' idle bookkeeping remains, and for replay-ok
+            # schedulers that is exactly the bulk-idle hook.
+            self._profile = None
+            self.last_stalls = ()
+            dirty.clear()
+            self._idle_clock += 1
+            return False
+        profile = self._profile
+        if profile is None:
+            # The walk runs against live state, so pending dirty marks
+            # are consumed regardless of outcome.
+            dirty.clear()
+            return self._walk(None, (), ())
         occ = state.occupancy_gen
         collector_ids = profile.collector_ids
         occ_moved = occ != profile.occupancy_gen and collector_ids
         if dirty or occ_moved:
-            provider = engine.provider
-            can_accept = provider.can_accept
-            index = profile.index
-            slots = profile.slots
-            derive = self._derive_outcome
-            seen = set()
-            live = set()
-            for warp_id in dirty:
-                if warp_id in seen:
-                    continue
-                seen.add(warp_id)
-                outcome = derive(slots[index[warp_id]][0], can_accept)
-                if outcome is _ISSUABLE:
-                    live.add(warp_id)  # re-derived live by the walk
-                else:
-                    profile.patch(warp_id, outcome)
+            can_accept = self.engine.provider.can_accept
+            warps = self._warps
+            rederive = profile.rederive
+            seen = set(dirty)
             dirty.clear()
+            live = set()
+            for warp_id in seen:
+                if rederive(warps[warp_id], can_accept):
+                    live.add(warp_id)
             if occ_moved:
                 # Occupancy moved (an issue filled or a dispatch freed
                 # a unit).  Non-dirty collector-stalled warps kept their
                 # scoreboard outcome (stalls there outrank acceptance),
                 # so only the acceptance half needs a re-check — and a
                 # shared pool answers it once for every warp.
-                if provider.shared_pool:
+                if self.engine.provider.shared_pool:
                     for warp_id in collector_ids:
                         if warp_id not in seen:
                             if can_accept(warp_id):
@@ -755,13 +759,13 @@ class IssueStage(_Stage):
                             live.add(warp_id)
             if live:
                 # seen minus live = warps just proven still-stalled;
-                # the sparse walk may skip their hazard checks too.
-                return self._sparse_walk(profile, seen - live, live)
+                # the walk may skip their hazard checks too.
+                return self._walk(profile, seen - live, live)
         profile.occupancy_gen = occ
-        counters = engine.counters
+        counters = self.engine.counters
         counters.issue_stalls_scoreboard += profile.n_scoreboard
         counters.issue_stalls_collector += profile.n_collector
-        recorder = engine.recorder
+        recorder = self.engine.recorder
         if recorder is not None:
             cycle = state.cycle
             for _, charge in profile.slots:
@@ -771,31 +775,33 @@ class IssueStage(_Stage):
                         reason=charge[1], trace_index=charge[2],
                         opcode=charge[3],
                     )
-        self._pending_idle += 1
+        self._idle_clock += 1
         return False
 
-    def _sparse_walk(self, profile: _IssueProfile, settled: set,
-                     live: set) -> bool:
-        """A real walk that hazard-checks only warps that may move.
+    def _walk(self, profile: Optional[_IssueProfile], settled,
+              live) -> bool:
+        """The issue walk: each scheduler over its candidate order.
 
-        ``settled`` holds the dirty warps whose re-derivation just
-        proved them still stalled; ``live`` the ones found issuable.
-        Every other warp gets a live check only if it is
-        collector-stalled (an issue here consumes provider slots
-        mid-walk); the rest provably charge the same stall as the
-        profile records, so the walk takes them from the cache.
-        Scheduler calls, budget accounting, and event emission follow
-        the full walk exactly — including stopping the moment a
-        scheduler's budget runs out, after which the remaining warps of
-        that scheduler are neither charged nor noted, just as the full
-        walk leaves them unvisited.  A scheduler that owns no *live*
+        Without a profile every visited warp takes a live hazard check,
+        and a walk that issues nothing leaves its outcomes behind as the
+        profile for the following cycles.  With one, ``settled`` holds
+        the dirty warps whose re-derivation just proved them still
+        stalled and ``live`` the ones found issuable.  Only ``live``
+        warps and collector-stalled ones (an issue here consumes
+        provider slots mid-walk) take a live check; every other warp
+        provably charges the same stall as the profile records, so the
+        walk takes it from the cache.  Scheduler calls, budget
+        accounting, and event emission follow the same order either
+        way — including stopping the moment a scheduler's budget runs
+        out, after which the remaining warps of that scheduler are
+        neither charged nor noted.  A scheduler that owns no *live*
         warp cannot issue this cycle (settled warps just re-derived
         stalled, collector-stalled warps can only stay stalled while
         the walk fills provider slots, unmoved warps provably repeat),
         so it stalls wholesale: its members charge from the
         per-scheduler profile sums — which patch() keeps current — and
-        its only side effect is the bulk-idle hook, with no per-warp
-        visits at all.
+        it only owes one more bulk-idle cycle, with no per-warp visits
+        at all.
         """
         engine = self.engine
         state = self.state
@@ -806,32 +812,46 @@ class IssueStage(_Stage):
         insert = provider.insert
         cycle = state.cycle
         issue_width = self._issue_width
-        slots = profile.slots
-        index = profile.index
+        warps = self._warps
         dirty = state.issue_dirty
-        collector_ids = profile.collector_ids
-        bounds = profile.bounds
+        undispatched_mem = state.undispatched_mem
+        # This cycle is idle for every scheduler the walk skips; the
+        # ones it visits take their owed spans first and are synced.
+        clock = self._idle_clock = self._idle_clock + 1
+        synced = self._synced
         issued_any = False
-        pending_idle = self._pending_idle
-        if pending_idle:
-            # Owed bulk-idle spans must land before candidate_order is
-            # consulted (greedy reset, LRR pointer advance).
-            self._pending_idle = 0
-            for scheduler in engine.schedulers:
-                scheduler.on_idle_span(pending_idle)
-        for sched_idx, scheduler in enumerate(engine.schedulers):
-            if live.isdisjoint(self._member_sets[sched_idx]):
+        # Stalls charged from the profile accumulate here and land on
+        # the counters after the walk.
+        if profile is None:
+            n_scoreboard = n_collector = 0
+            visited: List[list] = []
+            bounds: List[tuple] = []
+            stall_log: List[tuple] = []
+        else:
+            slots = profile.slots
+            index = profile.index
+            collector_ids = profile.collector_ids
+            # Schedulers owning a live warp; the walk only discards a
+            # live warp while visiting its own scheduler, so the set
+            # stays exact for every scheduler still ahead.
+            sched_of = profile.sched_of
+            live_scheds = {sched_of[warp_id] for warp_id in live}
+            # Every other scheduler stalls wholesale, as the profile
+            # sums record: start from the totals minus the walked ones.
+            n_scoreboard = profile.n_scoreboard
+            n_collector = profile.n_collector
+            for sched_idx in live_scheds:
+                n_scoreboard -= profile.sched_sb[sched_idx]
+                n_collector -= profile.sched_col[sched_idx]
+        for sched_idx, scheduler in enumerate(self._schedulers):
+            if profile is not None and sched_idx not in live_scheds:
                 # No member of this scheduler can issue this cycle, so
                 # every member stalls exactly as the (patched) profile
                 # records: issues in *other* schedulers only consume
-                # provider slots, which can't unstall anyone.  The
-                # whole scheduler charges in O(1) like an idle cycle.
-                counters.issue_stalls_scoreboard += (
-                    profile.sched_sb[sched_idx])
-                counters.issue_stalls_collector += (
-                    profile.sched_col[sched_idx])
+                # provider slots, which can't unstall anyone.  It
+                # charged in O(1) above, like an idle cycle.
                 if recorder is not None:
-                    start, end = bounds[sched_idx]
+                    start, end = profile.bounds[sched_idx]
                     for _warp, charge in slots[start:end]:
                         if charge is not None:
                             recorder.emit(
@@ -839,233 +859,47 @@ class IssueStage(_Stage):
                                 warp=charge[0], reason=charge[1],
                                 trace_index=charge[2], opcode=charge[3],
                             )
-                scheduler.on_idle_span(1)
                 continue
+            owed = clock - 1 - synced[sched_idx]
+            if owed:
+                # Owed bulk-idle spans land before candidate_order.
+                scheduler.on_idle_span(owed)
+            synced[sched_idx] = clock
+            if profile is None:
+                bound_start = len(visited)
             budget = issue_width
             note_stall = scheduler.note_stall
             for warp_id in scheduler.candidate_order():
                 if budget == 0:
                     break
-                if warp_id in settled:
-                    # Just re-derived against this cycle's state: the
-                    # recorded outcome is current, take it below.
-                    pass
-                elif warp_id in live or warp_id in collector_ids:
-                    # A live check: found issuable just now, or
-                    # collector-stalled (issues this walk consume
-                    # provider slots mid-walk).
-                    if warp_id not in live and not can_accept(warp_id):
-                        # Not dirty, so the scoreboard half of its
-                        # profiled outcome is still current; with the
-                        # provider still full it recharges the recorded
-                        # collector stall — no hazard re-derivation.
+                if profile is not None:
+                    if warp_id in live:
+                        live.discard(warp_id)
+                    elif (
+                        warp_id in settled
+                        or warp_id not in collector_ids
+                        or not can_accept(warp_id)
+                    ):
+                        # Outcome proven current: just re-derived, not
+                        # moved since the profile recorded it, or a
+                        # collector stall whose provider is still full.
                         note_stall(warp_id)
                         charge = slots[index[warp_id]][1]
-                        counters.issue_stalls_collector += 1
-                        if recorder is not None:
-                            recorder.emit(
-                                cycle, EventKind.ISSUE_STALL,
-                                warp=charge[0], reason=charge[1],
-                                trace_index=charge[2], opcode=charge[3],
-                            )
-                        continue
-                    live.discard(warp_id)
-                    slot = slots[index[warp_id]]
-                    warp = slot[0]
-                    issued_here = 0
-                    fresh_charge = None
-                    decoded = warp.decoded
-                    sb_pending = warp.sb_pending
-                    sb_reads = warp.sb_reads
-                    sb_preds = warp.sb_preds
-                    sb_pred_reads = warp.sb_pred_reads
-                    while budget > 0:
-                        pc = warp.pc
-                        if pc >= warp.end or warp.control_pending:
-                            break
-                        dec = decoded[pc]
-                        stalled = False
-                        for reg_id in dec.source_ids:
-                            if reg_id in sb_pending:
-                                stalled = True  # RAW
-                                break
-                        dest_id = dec.rf_dest_id
-                        if not stalled:
-                            if dest_id is not None and (
-                                dest_id in sb_pending  # WAW
-                                or sb_reads.get(dest_id)  # WAR
-                            ):
-                                stalled = True
-                            elif (dec.guard_id is not None
-                                  and dec.guard_id in sb_preds):
-                                stalled = True
-                            elif dec.pred_dest_id is not None and (
-                                dec.pred_dest_id in sb_preds
-                                or sb_pred_reads.get(dec.pred_dest_id)
-                            ):
-                                stalled = True
-                        if stalled:
-                            counters.issue_stalls_scoreboard += 1
-                            fresh_charge = (
-                                warp_id, "scoreboard", pc, dec.opcode_name
-                            )
+                        if charge is not None:
+                            if charge[1] == "scoreboard":
+                                n_scoreboard += 1
+                            else:
+                                n_collector += 1
                             if recorder is not None:
                                 recorder.emit(
                                     cycle, EventKind.ISSUE_STALL,
-                                    warp=warp_id, reason="scoreboard",
-                                    trace_index=pc, opcode=dec.opcode_name,
+                                    warp=charge[0], reason=charge[1],
+                                    trace_index=charge[2],
+                                    opcode=charge[3],
                                 )
-                            break
-                        if not can_accept(warp_id):
-                            counters.issue_stalls_collector += 1
-                            fresh_charge = (
-                                warp_id, "collector", pc, dec.opcode_name
-                            )
-                            if recorder is not None:
-                                recorder.emit(
-                                    cycle, EventKind.ISSUE_STALL,
-                                    warp=warp_id, reason="collector",
-                                    trace_index=pc, opcode=dec.opcode_name,
-                                )
-                            break
-
-                        entry = InflightInstruction(warp_id, pc, dec.inst,
-                                                    cycle, dec=dec)
-                        if dest_id is not None:
-                            sb_pending.add(dest_id)
-                        if dec.pred_dest_id is not None:
-                            sb_preds.add(dec.pred_dest_id)
-                        for reg_id in dec.source_ids:
-                            sb_reads[reg_id] = sb_reads.get(reg_id, 0) + 1
-                        if dec.guard_id is not None:
-                            sb_pred_reads[dec.guard_id] = (
-                                sb_pred_reads.get(dec.guard_id, 0) + 1)
-                        insert(entry)
-                        state.occupancy_gen += 1
-                        if dec.is_memory:
-                            state.undispatched_mem.setdefault(
-                                warp_id, set()
-                            ).add(pc)
-                        warp.pc = pc + 1
-                        if pc + 1 == warp.end:
-                            state.active_warps -= 1
-                        state.in_flight += 1
-                        counters.issued += 1
-                        if recorder is not None:
-                            recorder.emit(
-                                cycle, EventKind.ISSUE, warp=warp_id,
-                                trace_index=pc, opcode=dec.opcode_name,
-                            )
-                        if dec.is_control:
-                            warp.control_pending = True
-                        issued_here += 1
-                        budget -= 1
-                        issued_any = True
-                    if issued_here:
-                        scheduler.note_issue(warp_id)
-                    else:
-                        note_stall(warp_id)
-                    if fresh_charge is not None or (
-                        warp.pc >= warp.end or warp.control_pending
-                    ):
-                        # The while loop ended on a definite outcome
-                        # (a stall, drained, or a pending branch) —
-                        # record it so the next cycle starts current.
-                        profile.patch(warp_id, fresh_charge)
-                    else:
-                        # Budget ran out mid-warp: its next outcome is
-                        # unknown, re-derive it next cycle.
-                        profile.patch(warp_id, None)
-                        dirty.append(warp_id)
-                    continue
-                else:
-                    note_stall(warp_id)
-                    charge = slots[index[warp_id]][1]
-                    if charge is None:
                         continue
-                    if charge[1] == "scoreboard":
-                        counters.issue_stalls_scoreboard += 1
-                    else:
-                        counters.issue_stalls_collector += 1
-                    if recorder is not None:
-                        recorder.emit(
-                            cycle, EventKind.ISSUE_STALL, warp=charge[0],
-                            reason=charge[1], trace_index=charge[2],
-                            opcode=charge[3],
-                        )
-                    continue
-                # settled warp: charge the freshly patched outcome.
-                note_stall(warp_id)
-                charge = slots[index[warp_id]][1]
-                if charge is not None:
-                    if charge[1] == "scoreboard":
-                        counters.issue_stalls_scoreboard += 1
-                    else:
-                        counters.issue_stalls_collector += 1
-                    if recorder is not None:
-                        recorder.emit(
-                            cycle, EventKind.ISSUE_STALL, warp=charge[0],
-                            reason=charge[1], trace_index=charge[2],
-                            opcode=charge[3],
-                        )
-        if live:
-            # Issuable warps the walk never reached (an earlier warp
-            # consumed their scheduler's budget): their profile slots
-            # are stale and their dirty marks were consumed above, so
-            # re-mark them for the next cycle.
-            dirty.extend(live)
-        # The walk issued (the warp that triggered it is reached with
-        # budget in hand unless an earlier warp issued first), so the
-        # provider occupancy moved; leaving occupancy_gen stale makes
-        # the next cycle re-derive the collector-stalled warps.
-        return issued_any
-
-    def run(self) -> bool:
-        state = self.state
-        if state.active_warps == 0 and self._replay_ok:
-            # Drain phase: every warp has issued its last instruction,
-            # so the walk can never charge a stall again — only the
-            # schedulers' idle bookkeeping remains, and for replay-ok
-            # schedulers that is exactly the bulk-idle hook.
-            self._profile = None
-            self.last_stalls = ()
-            state.issue_dirty.clear()
-            self._pending_idle += 1
-            return False
-        profile = self._profile
-        if profile is not None:
-            return self._run_profile(profile)
-        return self._walk()
-
-    def _walk(self) -> bool:
-        engine = self.engine
-        state = self.state
-        counters = engine.counters
-        recorder = engine.recorder
-        provider = engine.provider
-        can_accept = provider.can_accept
-        insert = provider.insert
-        cycle = state.cycle
-        warp_by_id = engine._warp_by_id
-        issue_width = self._issue_width
-        issued_any = False
-        stall_log: List[tuple] = []
-        visited: List[list] = []
-        bounds: List[tuple] = []
-        pending_idle = self._pending_idle
-        if pending_idle:
-            # Owed bulk-idle spans land before candidate_order is read.
-            self._pending_idle = 0
-            for scheduler in engine.schedulers:
-                scheduler.on_idle_span(pending_idle)
-        for scheduler in engine.schedulers:
-            bound_start = len(visited)
-            budget = issue_width
-            note_stall = scheduler.note_stall
-            for warp_id in scheduler.candidate_order():
-                if budget == 0:
-                    break
-                warp = warp_by_id[warp_id]
+                # A live check: hazards against the current state.
+                warp = warps[warp_id]
                 issued_here = 0
                 fresh_charge = None
                 decoded = warp.decoded
@@ -1106,7 +940,6 @@ class IssueStage(_Stage):
                         fresh_charge = (
                             warp_id, "scoreboard", pc, dec.opcode_name
                         )
-                        stall_log.append(fresh_charge)
                         if recorder is not None:
                             recorder.emit(
                                 cycle, EventKind.ISSUE_STALL, warp=warp_id,
@@ -1119,7 +952,6 @@ class IssueStage(_Stage):
                         fresh_charge = (
                             warp_id, "collector", pc, dec.opcode_name
                         )
-                        stall_log.append(fresh_charge)
                         if recorder is not None:
                             recorder.emit(
                                 cycle, EventKind.ISSUE_STALL, warp=warp_id,
@@ -1142,9 +974,10 @@ class IssueStage(_Stage):
                     insert(entry)
                     state.occupancy_gen += 1
                     if dec.is_memory:
-                        state.undispatched_mem.setdefault(
-                            warp_id, set()
-                        ).add(pc)
+                        pending = undispatched_mem.get(warp_id)
+                        if pending is None:
+                            pending = undispatched_mem[warp_id] = set()
+                        pending.add(pc)
                     warp.pc = pc + 1
                     if pc + 1 == warp.end:
                         state.active_warps -= 1
@@ -1167,12 +1000,41 @@ class IssueStage(_Stage):
                     # scheduler has to swap them out of the active set
                     # or pending warps would starve.
                     note_stall(warp_id)
-                    visited.append([warp, fresh_charge])
-            bounds.append((bound_start, len(visited)))
+                if profile is None:
+                    if fresh_charge is not None:
+                        stall_log.append(fresh_charge)
+                    if not issued_here:
+                        visited.append([warp, fresh_charge])
+                elif fresh_charge is not None or (
+                    warp.pc >= warp.end or warp.control_pending
+                ):
+                    # The while loop ended on a definite outcome (a
+                    # stall, drained, or a pending branch) — record it
+                    # so the next cycle starts current.
+                    profile.patch(warp_id, fresh_charge)
+                else:
+                    # Budget ran out mid-warp: its next outcome is
+                    # unknown, re-derive it next cycle.
+                    profile.patch(warp_id, None)
+                    dirty.append(warp_id)
+            if profile is None:
+                bounds.append((bound_start, len(visited)))
+        counters.issue_stalls_scoreboard += n_scoreboard
+        counters.issue_stalls_collector += n_collector
+        if profile is not None:
+            if live:
+                # Issuable warps the walk never reached (an earlier
+                # warp consumed their scheduler's budget): their
+                # profile slots are stale and their dirty marks were
+                # consumed, so re-mark them for the next cycle.
+                dirty.extend(live)
+            # The walk issued (the warp that triggered it is reached
+            # with budget in hand unless an earlier warp issued first),
+            # so the provider occupancy moved; leaving occupancy_gen
+            # stale makes the next cycle re-derive the collector-stalled
+            # warps.
+            return issued_any
         self.last_stalls = stall_log
-        # The walk ran against live state, so pending dirty marks are
-        # consumed regardless of outcome.
-        state.issue_dirty.clear()
         if not issued_any and self._replay_ok:
             # A fruitless walk visited every schedulable warp (the
             # budget was never consumed): its outcome list is a
