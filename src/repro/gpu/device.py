@@ -22,12 +22,13 @@ Three properties make device runs trustworthy:
   ``(seed, warp_id, trace_index)``, a warp sees identical memory
   behaviour wherever it lands.  Register and memory images stay keyed
   by global warp identity, so aggregation is a disjoint merge.
-* **Drain/retry execution semantics** (mirroring the sweep engine of
-  :mod:`repro.experiments.grid`): completed SM results are always
-  collected before any raise, transient failures are retried per a
-  :class:`~repro.experiments.resilience.RetryPolicy` with deterministic
-  backoff, and a broken process pool is rebuilt with its in-flight SMs
-  resubmitted.
+* **Drain/retry execution semantics**: the SMs run through
+  :func:`~repro.experiments.resilience.map_with_retry`, the same loop
+  as the sweep engine of :mod:`repro.experiments.grid`.  Completed SM
+  results are always collected before any raise; failures retry per a
+  :class:`~repro.experiments.resilience.RetryPolicy` with
+  deterministic backoff and its per-SM timeout; and a broken process
+  pool is rebuilt, charging only the SM whose worker died.
 
 ``num_sms=1`` is an exact identity: the single partition holds every
 warp in launch order with the run's own memory seed, so a one-SM device
@@ -39,8 +40,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -264,125 +263,19 @@ class DeviceResult:
 
 
 def _run_sm(args: Tuple[str, KernelTrace, int, Optional[GPUConfig], int, bool],
-            recorder=None) -> Tuple[float, SimulationResult]:
+            recorder=None) -> SimulationResult:
     """Simulate one SM partition; the unit of (possibly remote) dispatch."""
     design, sm_trace, window_size, config, memory_seed, fast_forward = args
     from ..core.bow_sm import simulate_design
 
-    started = time.perf_counter()
-    result = simulate_design(design, sm_trace, window_size=window_size,
-                             config=config, memory_seed=memory_seed,
-                             recorder=recorder, fast_forward=fast_forward)
-    return time.perf_counter() - started, result
+    return simulate_design(design, sm_trace, window_size=window_size,
+                           config=config, memory_seed=memory_seed,
+                           recorder=recorder, fast_forward=fast_forward)
 
 
 def default_device_jobs(num_sms: int) -> int:
     """A sensible worker count for ``num_sms`` SMs on this machine."""
     return max(1, min(num_sms, os.cpu_count() or 1))
-
-
-def _dispatch_serial(work, policy, finish, fail, recorder_for=None):
-    """Resolve the SM partitions in-process, honouring the retry policy."""
-    for sm_id, args in work:
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                seconds, result = _run_sm(
-                    args,
-                    None if recorder_for is None else recorder_for(sm_id),
-                )
-            except Exception as error:  # noqa: BLE001 — taxonomy decides
-                from ..experiments.resilience import classify_failure
-
-                if policy.should_retry(classify_failure(error), attempts):
-                    time.sleep(policy.delay(attempts))
-                    continue
-                fail(sm_id, attempts, error)
-            else:
-                finish(sm_id, attempts, result)
-            break
-
-
-def _dispatch_pool(work, policy, finish, fail, jobs, executor,
-                   recorder_for=None):
-    """Fan the SM partitions over a worker pool, drain-then-retry style.
-
-    Mirrors the sweep engine's semantics at SM granularity: completed
-    futures are always drained (their results kept) before anything
-    else; failed SMs are retried per the policy with deterministic
-    backoff; a ``BrokenProcessPool`` rebuilds the pool and resubmits
-    every in-flight SM (each charged the attempt it lost).
-    """
-    from ..experiments.resilience import classify_failure
-
-    if executor == "thread":
-        from concurrent.futures import ThreadPoolExecutor as PoolClass
-    else:
-        PoolClass = ProcessPoolExecutor
-
-    attempts: Dict[int, int] = {sm_id: 0 for sm_id, _ in work}
-    args_by_sm = dict(work)
-    #: (sm_id, earliest submission time) — backoff delays live here.
-    ready: List[Tuple[int, float]] = [(sm_id, 0.0) for sm_id, _ in work]
-    futures: Dict[object, int] = {}
-    pool = None
-
-    def submit(pool, sm_id):
-        attempts[sm_id] += 1
-        recorder = None if recorder_for is None else recorder_for(sm_id)
-        futures[pool.submit(_run_sm, args_by_sm[sm_id], recorder)] = sm_id
-
-    def retry_or_fail(sm_id, error):
-        if policy.should_retry(classify_failure(error), attempts[sm_id]):
-            ready.append((sm_id, time.monotonic()
-                          + policy.delay(attempts[sm_id])))
-        else:
-            fail(sm_id, attempts[sm_id], error)
-
-    try:
-        while ready or futures:
-            now = time.monotonic()
-            if pool is None and ready:
-                pool = PoolClass(max_workers=min(jobs, max(1, len(ready))))
-            waiting = []
-            for sm_id, not_before in ready:
-                if not_before <= now:
-                    submit(pool, sm_id)
-                else:
-                    waiting.append((sm_id, not_before))
-            ready = waiting
-
-            if not futures:
-                wake = min(not_before for _, not_before in ready)
-                time.sleep(max(0.0, wake - time.monotonic()))
-                continue
-
-            done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-            pool_broke = False
-            for future in done:
-                sm_id = futures.pop(future)
-                try:
-                    seconds, result = future.result()
-                except BrokenProcessPool as error:
-                    pool_broke = True
-                    retry_or_fail(sm_id, error)
-                except Exception as error:  # noqa: BLE001 — taxonomy decides
-                    retry_or_fail(sm_id, error)
-                else:
-                    finish(sm_id, attempts[sm_id], result)
-
-            if pool_broke and pool is not None:
-                # The pool died: every in-flight SM died with it.
-                for future in list(futures):
-                    sm_id = futures.pop(future)
-                    retry_or_fail(sm_id, BrokenProcessPool(
-                        "process pool died with this SM in flight"))
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = None
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
 
 
 def simulate_device(
@@ -425,7 +318,8 @@ def simulate_device(
             (``None`` uses :data:`~repro.experiments.resilience.NO_RETRY`
             — SM engines are deterministic, so only transient
             infrastructure failures are worth retrying; pass
-            ``DEFAULT_POLICY`` for sweep-grade resilience).
+            ``DEFAULT_POLICY`` for sweep-grade resilience).  Its
+            ``timeout`` bounds each SM from when a worker starts it.
         recorder_factory: optional ``sm_id -> TraceRecorder`` hook; the
             per-SM recorders land on ``DeviceResult.recorders``.
             Requires an in-process executor (serial or thread).
@@ -453,8 +347,7 @@ def simulate_device(
             "per-SM trace capture needs an in-process executor "
             "(serial or thread); recorders cannot cross processes"
         )
-    if retry is None:
-        from ..experiments.resilience import NO_RETRY as retry
+    from ..experiments.resilience import NO_RETRY, map_with_retry
 
     partition = partition_launch(
         trace, num_sms, seed=memory_seed if seed is None else seed,
@@ -466,15 +359,17 @@ def simulate_device(
                      for sm in partition.sms}
 
     work = [
-        (sm.sm_id, (design, sm.trace, window_size, config, memory_seed,
-                    fast_forward))
+        (sm.sm_id, ((design, sm.trace, window_size, config, memory_seed,
+                     fast_forward),
+                    None if recorders is None else recorders[sm.sm_id]))
         for sm in partition.sms
     ]
     per_sm: Dict[int, SimulationResult] = {}
     attempts_by_sm: Dict[int, int] = {}
     failures: List[Tuple[int, int, BaseException]] = []
 
-    def finish(sm_id: int, attempts: int, result: SimulationResult) -> None:
+    def finish(sm_id: int, result: SimulationResult, attempts: int,
+               seconds: float) -> None:
         per_sm[sm_id] = result
         attempts_by_sm[sm_id] = attempts
         if progress is not None:
@@ -482,19 +377,16 @@ def simulate_device(
                      f"{result.counters.cycles} cycles, "
                      f"IPC {result.ipc:.3f}")
 
-    def fail(sm_id: int, attempts: int, error: BaseException) -> None:
+    def fail(sm_id: int, error: BaseException, attempts: int,
+             seconds: float) -> None:
         failures.append((sm_id, attempts, error))
         if progress is not None:
             progress(f"SM {sm_id} FAILED after {attempts} attempt(s): "
                      f"{type(error).__name__}: {error}")
 
-    recorder_for = None if recorders is None else recorders.get
-    if jobs <= 1 or len(work) == 1 or executor == "serial":
-        _dispatch_serial(work, retry, finish, fail,
-                         recorder_for=recorder_for)
-    else:
-        _dispatch_pool(work, retry, finish, fail, jobs, executor,
-                       recorder_for=recorder_for)
+    map_with_retry(_run_sm, work, NO_RETRY if retry is None else retry,
+                   finish, fail, jobs=jobs, executor=executor,
+                   label=lambda sm_id: f"SM {sm_id}")
 
     if failures:
         # Drain semantics: every completed SM result was already kept.

@@ -15,6 +15,9 @@ layer's headline guarantees end to end, the way CI exercises them:
    grid and the strict default aborts with a nonzero status.
 4. **Determinism** — the same fault seed produces the same failure
    records at ``jobs=1`` and ``jobs=N``.
+5. **Timeout parity** — under a per-point timeout, a hung point fails
+   alike at ``jobs=1`` and ``jobs=N``, and no sibling is charged the
+   time it queued behind it.
 
 Exit status 0 means every check passed; the first failed check prints
 a ``chaos: FAIL`` line and exits 1.
@@ -46,6 +49,14 @@ VICTIM = "SAD/bow IW3"
 #: Zero backoff keeps the smoke fast; three attempts per point.
 POLICY = RetryPolicy(max_attempts=3, backoff_base=0.0)
 
+#: Timeout parity: every point stalls ``STALL`` seconds once, well
+#: inside the budget (a QUICK point simulates in under 0.5 s), and the
+#: victim ``VICTIM_STALL`` more, well past it.  A sibling also charged
+#: for the time it queued behind stalled siblings would overrun it.
+STALL = 1.2
+VICTIM_STALL = 1.5
+TIMEOUT_POLICY = RetryPolicy(max_attempts=1, backoff_base=0.0, timeout=2.4)
+
 
 def _log(message: str) -> None:
     print(f"chaos: {message}", file=sys.stderr)
@@ -64,14 +75,14 @@ def _sweep_argv(cache_dir: str, jobs: int, *extra: str) -> List[str]:
 
 
 def _faulted_grid(seed: int, state_dir: str, cache_dir: str, jobs: int,
-                  specs: List[FaultSpec]):
+                  specs: List[FaultSpec], policy: RetryPolicy = POLICY):
     """One strict=False sweep with ``specs`` installed; returns
     ``(grid, plan)`` with the plan already uninstalled."""
     runner.clear_cache()
     with injected_faults(seed, state_dir, specs) as plan:
         grid = run_grid(
             BENCHMARKS, DESIGNS, WINDOWS, scale=runner.QUICK, jobs=jobs,
-            retry=POLICY, strict=False, cache=RunCache(cache_dir),
+            retry=policy, strict=False, cache=RunCache(cache_dir),
         )
     return grid, plan
 
@@ -153,6 +164,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                == sorted(f.signature() for f in parallel.failures),
                "identical failure records at jobs=1 and "
                f"jobs={args.jobs}")
+
+        # -- timeout parity: jobs=1 vs jobs=N --------------------------
+        _log(f"timeout parity: {VICTIM} hangs past a "
+             f"{TIMEOUT_POLICY.timeout}s budget at jobs=1 and "
+             f"jobs={args.jobs}")
+        stalls = [FaultSpec("hang", duration=STALL),
+                  FaultSpec("hang", duration=VICTIM_STALL, match=VICTIM)]
+        for jobs in (1, args.jobs):
+            grid, _ = _faulted_grid(
+                args.seed, f"{root}/timeout-faults-{jobs}",
+                f"{root}/timeout-cache-{jobs}", jobs, stalls,
+                TIMEOUT_POLICY)
+            _check([f.signature() for f in grid.failures]
+                   == [(VICTIM, "transient", 1)],
+                   f"only {VICTIM} timed out at jobs={jobs}")
     finally:
         runner.set_cache(None)
         runner.clear_cache()

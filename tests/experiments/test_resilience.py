@@ -85,6 +85,13 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ExperimentError):
             RetryPolicy(timeout=0.0)
+        # A NaN timeout would switch the deadline off silently; an
+        # infinite one would overflow the pool's wait.
+        for field in ("timeout", "backoff_base", "backoff_factor",
+                      "backoff_max"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ExperimentError, match="finite"):
+                    RetryPolicy(**{field: value})
 
 
 class TestClassification:
@@ -184,6 +191,15 @@ class TestGridFaults:
         assert [f.signature() for f in grid.failures] == [
             ("NW/bow IW3", TRANSIENT, 2)]
         assert grid.failures[0].error_type == "SweepTimeoutError"
+
+    def test_deadline_starts_when_a_worker_starts_the_point(self, tmp_path):
+        """Four 1 s points on two workers each fit a 1.5 s budget: the
+        two queued behind busy workers are not charged their wait."""
+        policy = RetryPolicy(max_attempts=1, backoff_base=0.0, timeout=1.5)
+        grid = faulted_grid(tmp_path, [FaultSpec("hang", duration=1.0)],
+                            jobs=2, retry=policy)
+        assert [f.signature() for f in grid.failures] == []
+        assert len(grid.results) == 4
 
     def test_failure_determinism_across_job_counts(self, tmp_path):
         """Same fault seed, same failure records at jobs=1 and jobs=4."""

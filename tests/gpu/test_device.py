@@ -11,11 +11,16 @@ The two load-bearing guarantees:
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 
 from repro.core.bow_sm import simulate_design
 from repro.core.designs import design_names
 from repro.errors import ExperimentError, SimulationError
+from repro.experiments.resilience import RetryPolicy
+from repro.gpu import device as device_module
 from repro.gpu.device import merge_counters, partition_launch, simulate_device
 from repro.isa import parse_program
 from repro.kernels.synthetic import generate_compiled_trace, generate_trace
@@ -296,59 +301,80 @@ class TestRecorders:
         assert all(r.emitted > 0 for r in run.recorders.values())
 
 
+#: The plan :func:`faulty_run_sm` fires: a claim directory and
+#: ``{sm_id: fault}`` — ``"raise"`` (a transient ``OSError``),
+#: ``"exit"`` (the worker process dies) or a number (stall that many
+#: seconds first).  Each SM's fault fires once, claimed through an
+#: ``O_EXCL`` file so the count holds across processes; process
+#: workers inherit the plan by fork.
+FAULTS = {"dir": "", "by_sm": {}}
+_real_run_sm = device_module._run_sm
+
+
+def faulty_run_sm(args, recorder=None):
+    """A module-level, so picklable, ``_run_sm`` stand-in firing FAULTS."""
+    sm_id = int(args[1].name.rsplit("@sm", 1)[1])
+    fault = FAULTS["by_sm"].get(sm_id)
+    if fault is not None:
+        try:
+            os.close(os.open(os.path.join(FAULTS["dir"], f"sm{sm_id}"),
+                             os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            fault = None  # already fired once
+    if fault == "raise":
+        raise OSError(f"injected transient failure on SM {sm_id}")
+    if fault == "exit":
+        os._exit(87)
+    if fault is not None:
+        time.sleep(fault)
+    return _real_run_sm(args, recorder)
+
+
 class TestRetrySemantics:
-    def _flaky_run_sm(self, fail_once_for):
-        """A ``_run_sm`` stand-in that fails each listed SM once."""
-        from repro.gpu import device as device_module
+    @pytest.fixture
+    def inject(self, monkeypatch, tmp_path):
+        """``inject({sm_id: fault})`` swaps in :func:`faulty_run_sm`."""
+        def install(by_sm):
+            monkeypatch.setitem(FAULTS, "dir", str(tmp_path))
+            monkeypatch.setitem(FAULTS, "by_sm", by_sm)
+            monkeypatch.setattr(device_module, "_run_sm", faulty_run_sm)
+        return install
 
-        real = device_module._run_sm
-        remaining = set(fail_once_for)
-
-        def run(args, recorder=None):
-            sm_trace = args[1]
-            sm_id = int(sm_trace.name.rsplit("@sm", 1)[1])
-            if sm_id in remaining:
-                remaining.discard(sm_id)
-                raise OSError(f"injected transient failure on SM {sm_id}")
-            return real(args, recorder)
-
-        return run
-
-    def test_serial_retries_transient(self, monkeypatch, device_trace):
-        from repro.experiments.resilience import RetryPolicy
-        from repro.gpu import device as device_module
-
-        monkeypatch.setattr(device_module, "_run_sm",
-                            self._flaky_run_sm({1}))
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_retries_transient(self, inject, device_trace, executor):
+        inject({0: "raise", 2: "raise"})
         policy = RetryPolicy(max_attempts=3, backoff_base=0.0)
         run = simulate_device("bow", device_trace, num_sms=4, window_size=3,
-                              memory_seed=SEED, retry=policy)
-        assert run.attempts[1] == 2
-        assert all(run.attempts[sm] == 1 for sm in run.attempts if sm != 1)
-
-    def test_thread_pool_retries_transient(self, monkeypatch, device_trace):
-        from repro.experiments.resilience import RetryPolicy
-        from repro.gpu import device as device_module
-
-        monkeypatch.setattr(device_module, "_run_sm",
-                            self._flaky_run_sm({0, 2}))
-        policy = RetryPolicy(max_attempts=3, backoff_base=0.0)
-        run = simulate_device("bow", device_trace, num_sms=4, window_size=3,
-                              memory_seed=SEED, jobs=4, executor="thread",
+                              memory_seed=SEED, jobs=4, executor=executor,
                               retry=policy)
-        assert run.attempts[0] == 2
-        assert run.attempts[2] == 2
+        assert run.attempts == {0: 2, 1: 1, 2: 2, 3: 1}
         # Retried runs still produce the canonical result.
         clean = simulate_device("bow", device_trace, num_sms=4, window_size=3,
                                 memory_seed=SEED)
         assert state_key(run.to_simulation_result()) == \
             state_key(clean.to_simulation_result())
 
-    def test_no_retry_surfaces_failure(self, monkeypatch, device_trace):
-        from repro.gpu import device as device_module
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_timeout_fails_the_slow_sm(self, inject, device_trace, executor):
+        inject({1: 1.5})
+        policy = RetryPolicy(max_attempts=1, timeout=0.75)
+        with pytest.raises(SimulationError,
+                           match=r"SM 1 exhausted 1 .*SweepTimeoutError"):
+            simulate_device("bow", device_trace, num_sms=4, window_size=3,
+                            memory_seed=SEED, jobs=4, executor=executor,
+                            retry=policy)
 
-        monkeypatch.setattr(device_module, "_run_sm",
-                            self._flaky_run_sm({1}))
+    def test_dead_worker_charges_only_its_sm(self, inject, device_trace):
+        """SM 0's worker dies: the SIGTERMed siblings resubmit free."""
+        inject({0: "exit"})
+        policy = RetryPolicy(max_attempts=3, backoff_base=0.0)
+        run = simulate_device("bow", device_trace, num_sms=4, window_size=3,
+                              memory_seed=SEED, jobs=4, executor="process",
+                              retry=policy)
+        assert run.attempts == {0: 2, 1: 1, 2: 1, 3: 1}
+
+    def test_no_retry_surfaces_failure(self, inject, device_trace):
+        inject({1: "raise"})
         with pytest.raises(SimulationError, match="SM 1"):
             simulate_device("bow", device_trace, num_sms=4, window_size=3,
                             memory_seed=SEED)

@@ -380,6 +380,17 @@ class TestSweepResilience:
         assert main(self.ARGV + ["--no-cache", "--timeout", "60"]) == 0
         assert policies and policies[0].timeout == 60.0
 
+    def test_infinite_timeout_is_the_same_typed_error_as_zero(self, capsys):
+        errors = []
+        for value in ("0", "inf"):
+            code = main(self.ARGV + ["--no-cache", "--jobs", "2",
+                                     "--timeout", value])
+            errors.append((code, capsys.readouterr().err))
+        for code, err in errors:
+            assert code == 1
+            assert err.startswith("error: ") and "timeout" in err
+            assert "Traceback" not in err
+
 
 class TestExperiment:
     def test_static_experiment(self, capsys):
