@@ -17,7 +17,7 @@ Usage::
 import sys
 from dataclasses import replace
 
-from repro import EnergyModel, bow_wr_config, simulate_bow, simulate_design
+from repro import EnergyModel, bow_wr_config, simulate_design
 from repro.kernels.suites import get_profile
 from repro.kernels.synthetic import generate_compiled_trace
 from repro.stats.report import format_percent, format_table
@@ -38,7 +38,7 @@ def main() -> None:
         # Recompile for each window: the hint bits depend on it.
         trace = generate_compiled_trace(spec, window_size)
         bow = bow_wr_config(window_size)
-        result = simulate_bow(trace, bow=bow)
+        result = simulate_design("bow-wr", trace, window_size=window_size)
         counters = result.counters
         normalized = model.normalized(counters, base.counters)
         added_kb = (bow.total_boc_bytes() - 3 * 128 * 32) / 1024

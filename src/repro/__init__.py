@@ -28,7 +28,7 @@ from .config import (
     bow_wb_config,
     bow_wr_config,
 )
-from .core import simulate_bow, simulate_design, simulate_rfc
+from .core import simulate_design
 from .energy import EnergyModel
 from .errors import (
     CompilerError,
@@ -90,9 +90,7 @@ __all__ = [
     "build_benchmark_trace",
     "get_profile",
     "compile_kernel",
-    "simulate_bow",
     "simulate_design",
-    "simulate_rfc",
     "simulate_baseline",
     "SimulationResult",
     "EnergyModel",

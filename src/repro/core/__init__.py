@@ -9,14 +9,14 @@
   compiler-guided BOW-WR).
 * :mod:`repro.core.designs` — the declarative design registry; every
   runnable design point is one :class:`~repro.core.designs.DesignSpec`.
-* :mod:`repro.core.bow_sm` — one-call simulation entry points plugging
-  the BOC into the baseline SM engine.
+* :mod:`repro.core.bow_sm` — ``simulate_design``, the one-call entry
+  point running any registered design on the baseline SM engine.
 * :mod:`repro.core.rfc` — the register-file-cache comparison point.
 * :mod:`repro.core.occupancy` — collector occupancy studies (Figures 8/9).
 """
 
 from .boc import BOWCollectors
-from .bow_sm import DESIGNS, simulate_bow, simulate_design
+from .bow_sm import simulate_design
 from .designs import (
     DesignSpec,
     design_names,
@@ -32,7 +32,7 @@ from .occupancy import (
     boc_occupancy_histogram,
     source_operand_histogram,
 )
-from .rfc import RFC_ENTRIES_PER_WARP, RFCCollectors, simulate_rfc
+from .rfc import RFC_ENTRIES_PER_WARP, RFCCollectors
 from .window import (
     read_bypass_counts,
     table1_write_counts,
@@ -54,11 +54,8 @@ __all__ = [
     "register_design",
     "temporary_design",
     "unregister_design",
-    "simulate_bow",
     "simulate_design",
-    "DESIGNS",
     "RFCCollectors",
-    "simulate_rfc",
     "RFC_ENTRIES_PER_WARP",
     "source_operand_histogram",
     "boc_occupancy_histogram",

@@ -1,82 +1,24 @@
-"""One-call simulation entry points for every design point.
+"""The one-call simulation entry point for every design point.
 
 ``simulate_design`` runs a named design over a trace by resolving the
 name through the declarative registry (:mod:`repro.core.designs`),
 which covers the paper's configurations: the unmodified GPU, baseline
 BOW (write-through), BOW-WB, BOW-WR, the half-size BOW-WR, and the RFC
-comparison point.  ``DESIGNS`` remains as a compatibility view of the
-registry's BOW-config factories.
+comparison point.  A ``bow`` override runs a BOW organization with an
+arbitrary :class:`~repro.config.BOWConfig` (capacity, eviction policy,
+...) — the hook the ablation drivers use.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ..config import BOWConfig, GPUConfig
 from ..errors import SimulationError
 from ..gpu.sm import SimulationResult, SMEngine
 from ..kernels.trace import KernelTrace
 from .boc import BOWCollectors
-from .designs import design_specs, get_design, known_designs
-
-
-def simulate_bow(
-    trace: KernelTrace,
-    bow: Optional[BOWConfig] = None,
-    config: Optional[GPUConfig] = None,
-    memory_seed: int = 0,
-    preload: Optional[Dict[int, int]] = None,
-    recorder=None,
-    fast_forward: bool = True,
-) -> SimulationResult:
-    """Simulate ``trace`` on a BOW-enabled SM.
-
-    Args:
-        trace: per-warp dynamic instruction streams.  For the compiler
-            policy, instructions should carry hints (see
-            :func:`repro.compiler.compile_kernel`); unhinted instructions
-            default to the BOTH behaviour, which is correct but saves
-            fewer writes.
-        bow: the design point; defaults to baseline BOW at IW=3.
-        config: machine configuration (Table II defaults).
-        memory_seed: seed of the deterministic memory-latency model.
-        recorder: optional :class:`~repro.stats.trace.TraceRecorder`
-            receiving cycle-level events (``None`` = no tracing work).
-    """
-    from ..config import bow_config
-
-    bow = bow or bow_config()
-    if not bow.enabled:
-        engine = SMEngine(trace, config=config, memory_seed=memory_seed,
-                          preload=preload, recorder=recorder,
-                          fast_forward=fast_forward)
-        return engine.run()
-    engine = SMEngine(
-        trace,
-        config=config,
-        provider_factory=lambda eng: BOWCollectors(eng, bow),
-        memory_seed=memory_seed,
-        preload=preload,
-        recorder=recorder,
-        fast_forward=fast_forward,
-    )
-    return engine.run()
-
-
-def _registry_bow_configs() -> Dict[str, Callable[[int], Optional[BOWConfig]]]:
-    return {
-        spec.name: spec.bow_config
-        for spec in design_specs()
-        if spec.bow_config is not None
-    }
-
-
-#: Named BOW design points (compatibility view of the registry): each
-#: value is a factory of the design's BOWConfig keyed by the window.
-#: Non-BOW designs (``rfc``) live in the registry only.
-DESIGNS: Dict[str, Callable[[int], Optional[BOWConfig]]] = (
-    _registry_bow_configs()
-)
+from .designs import get_design, known_designs
 
 
 def simulate_design(
@@ -88,18 +30,44 @@ def simulate_design(
     preload: Optional[Dict[int, int]] = None,
     recorder=None,
     fast_forward: bool = True,
+    bow: Optional[BOWConfig] = None,
 ) -> SimulationResult:
-    """Run a named design (see :func:`repro.core.designs.design_names`)."""
+    """Run a named design (see :func:`repro.core.designs.design_names`).
+
+    Args:
+        design: a registered design name.
+        trace: per-warp dynamic instruction streams.  Hinted designs
+            (BOW-WR) expect hint-compiled traces (see
+            :func:`repro.compiler.compile_kernel`); unhinted
+            instructions default to the BOTH behaviour, which is
+            correct but saves fewer writes.
+        window_size: the instruction window (ignored by windowless
+            designs and when ``bow`` is given).
+        config: machine configuration (Table II defaults).
+        memory_seed: seed of the deterministic memory-latency model.
+        recorder: optional :class:`~repro.stats.trace.TraceRecorder`
+            receiving cycle-level events (``None`` = no tracing work).
+        bow: a :class:`BOWConfig` replacing the design's own; only BOW
+            organizations (designs with a ``bow_config``) accept one.
+    """
     try:
         spec = get_design(design)
     except KeyError:
         raise SimulationError(
             f"unknown design {design!r}; known: {known_designs()}"
         ) from None
+    if bow is not None and spec.bow_config is None:
+        raise SimulationError(
+            f"design {design!r} is not a BOW organization; "
+            f"it takes no bow override"
+        )
     engine = SMEngine(
         trace,
         config=config,
-        provider_factory=lambda eng: spec.provider(eng, window_size),
+        provider_factory=(
+            (lambda eng: spec.provider(eng, window_size)) if bow is None
+            else (lambda eng: BOWCollectors(eng, bow))
+        ),
         memory_seed=memory_seed,
         preload=preload,
         recorder=recorder,

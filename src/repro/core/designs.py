@@ -25,7 +25,6 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..config import (
     BOWConfig,
-    baseline_config,
     bow_config,
     bow_wb_config,
     bow_wr_config,
@@ -53,7 +52,8 @@ class DesignSpec:
             engine; receives ``(engine, window_size)``.
         bow_config: factory of the design's :class:`BOWConfig` keyed by
             the instruction window, or ``None`` when the design is not
-            a BOW organization (baseline, RFC).
+            a BOW organization (baseline, RFC).  Only BOW organizations
+            accept a ``bow`` override in ``simulate_design``.
         hinted: the design consumes compiler writeback hints, so its
             traces must be hint-compiled for the window under test.
         windowless: the design ignores the instruction-window knob
@@ -159,7 +159,6 @@ register_design(DesignSpec(
     name="baseline",
     description="unmodified GPU: conventional OCU pool, no bypassing",
     provider=_baseline_provider,
-    bow_config=lambda iw: baseline_config(),
     windowless=True,
 ))
 register_design(DesignSpec(

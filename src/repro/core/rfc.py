@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
-from ..config import GPUConfig
 from ..errors import SimulationError
 from ..gpu.banks import AccessRequest
 from ..gpu.collector import (
@@ -33,8 +32,6 @@ from ..gpu.collector import (
     WarpTable,
     ensure_decoded,
 )
-from ..gpu.sm import SimulationResult, SMEngine
-from ..kernels.trace import KernelTrace
 from ..stats.trace import EventKind
 
 #: Warp-registers cached per warp (6 entries per thread in the paper).
@@ -275,27 +272,3 @@ class RFCCollectors(OperandProvider):
                         None, line.value,
                         warp_id=cache.warp_id, register_id=register_id,
                     )
-
-
-def simulate_rfc(
-    trace: KernelTrace,
-    config: Optional[GPUConfig] = None,
-    memory_seed: int = 0,
-    entries_per_warp: int = RFC_ENTRIES_PER_WARP,
-    preload: Optional[Dict[int, int]] = None,
-    recorder=None,
-    fast_forward: bool = True,
-) -> SimulationResult:
-    """Run the RFC comparison design over ``trace``."""
-    engine = SMEngine(
-        trace,
-        config=config,
-        provider_factory=lambda eng: RFCCollectors(
-            eng, eng.config.num_operand_collectors, entries_per_warp
-        ),
-        memory_seed=memory_seed,
-        preload=preload,
-        recorder=recorder,
-        fast_forward=fast_forward,
-    )
-    return engine.run()

@@ -12,6 +12,11 @@ buffers.  These drivers vary one choice at a time:
   paper's 7 (its future-work direction).
 * :func:`effective_rf_study` — the SS IV-B.2a claim: how much RF
   allocation the transient operands release per benchmark.
+
+Every timing run resolves through :func:`~repro.experiments.grid.run_grid`:
+a machine or BOW variant is a ``config``/``bow`` grid-point override
+(one grid per variant), so ablation runs share the run cache, retries
+and the simulation counter with every other driver.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from ..config import (
     SchedulerPolicy,
     WritebackPolicy,
 )
-from ..core.bow_sm import simulate_bow
 from ..core.window import read_bypass_counts
 from ..kernels.suites import benchmark_names, get_profile
 from ..kernels.synthetic import generate_kernel
@@ -69,21 +73,15 @@ def scheduler_ablation(
 ) -> SchedulerAblation:
     """BOW's IPC improvement under each warp-scheduling policy."""
     benchmarks = benchmarks or benchmark_names()
-    gains: Dict[str, Dict[str, float]] = {}
-    for bench in benchmarks:
-        trace = benchmark_trace(bench, scale)
-        gains[bench] = {}
-        for policy in policies:
-            config = GPUConfig(scheduler_policy=policy)
-            base = simulate_bow(
-                trace, bow=replace(BOWConfig(), enabled=False),
-                config=config, memory_seed=scale.memory_seed,
+    gains: Dict[str, Dict[str, float]] = {bench: {} for bench in benchmarks}
+    for policy in policies:
+        grid = run_grid(benchmarks, ("baseline", "bow"), (window_size,),
+                        scale=scale, config=GPUConfig(scheduler_policy=policy))
+        for bench in benchmarks:
+            gains[bench][policy.value] = (
+                grid.get(bench, "bow", window_size).ipc
+                / grid.get(bench, "baseline").ipc - 1.0
             )
-            bow = simulate_bow(
-                trace, bow=BOWConfig(window_size=window_size),
-                config=config, memory_seed=scale.memory_seed,
-            )
-            gains[bench][policy.value] = bow.ipc / base.ipc - 1.0
     return SchedulerAblation(gains=gains)
 
 
@@ -120,21 +118,19 @@ def eviction_ablation(
 ) -> EvictionAblation:
     """Compare FIFO and LRU eviction under a deliberately tight BOC."""
     benchmarks = benchmarks or benchmark_names()
-    ipc: Dict[str, Dict[str, float]] = {}
-    writebacks: Dict[str, Dict[str, int]] = {}
-    for bench in benchmarks:
-        trace = benchmark_trace(bench, scale)
-        ipc[bench] = {}
-        writebacks[bench] = {}
-        for policy in (EvictionPolicy.FIFO, EvictionPolicy.LRU):
-            bow = BOWConfig(
-                window_size=window_size,
-                writeback=WritebackPolicy.WRITE_BACK,
-                capacity_entries=capacity,
-                eviction=policy,
-            )
-            result = simulate_bow(trace, bow=bow,
-                                  memory_seed=scale.memory_seed)
+    ipc: Dict[str, Dict[str, float]] = {bench: {} for bench in benchmarks}
+    writebacks: Dict[str, Dict[str, int]] = {bench: {} for bench in benchmarks}
+    for policy in (EvictionPolicy.FIFO, EvictionPolicy.LRU):
+        bow = BOWConfig(
+            window_size=window_size,
+            writeback=WritebackPolicy.WRITE_BACK,
+            capacity_entries=capacity,
+            eviction=policy,
+        )
+        grid = run_grid(benchmarks, ("bow-wb",), (window_size,), scale=scale,
+                        bow=bow)
+        for bench in benchmarks:
+            result = grid.get(bench, "bow-wb", window_size)
             ipc[bench][policy.value] = result.ipc
             writebacks[bench][policy.value] = (
                 result.counters.eviction_writebacks
@@ -160,7 +156,7 @@ class CapacitySweep:
             ["BOC entries", "IPC gain", "evictions"],
             rows,
             title=(f"Capacity sweep: {self.benchmark} "
-                   f"(BOW-WR semantics, IW={self.window_size})"),
+                   f"(BOW-WB semantics, IW={self.window_size})"),
         )
 
 
@@ -171,15 +167,16 @@ def capacity_sweep(
     scale: RunScale = QUICK,
 ) -> CapacitySweep:
     """Sweep BOC capacity from starved to conservative."""
-    trace = benchmark_trace(benchmark, scale)
-    base = simulate_bow(trace, bow=replace(BOWConfig(), enabled=False),
-                        memory_seed=scale.memory_seed)
+    base = run_grid((benchmark,), ("baseline",), scale=scale).get(
+        benchmark, "baseline")
     points = []
     for capacity in capacities:
         bow = BOWConfig(window_size=window_size,
                         writeback=WritebackPolicy.WRITE_BACK,
                         capacity_entries=capacity)
-        result = simulate_bow(trace, bow=bow, memory_seed=scale.memory_seed)
+        result = run_grid((benchmark,), ("bow-wb",), (window_size,),
+                          scale=scale, bow=bow).get(benchmark, "bow-wb",
+                                                    window_size)
         points.append((
             capacity,
             result.ipc / base.ipc - 1.0,
@@ -323,14 +320,11 @@ def collector_count_ablation(
     scale: RunScale = QUICK,
 ) -> CollectorCountAblation:
     """Baseline IPC as the OCU pool shrinks."""
-    trace = benchmark_trace(benchmark, scale)
     points = []
     for units in unit_counts:
         config = GPUConfig(num_operand_collectors=units)
-        result = simulate_bow(
-            trace, bow=replace(BOWConfig(), enabled=False),
-            config=config, memory_seed=scale.memory_seed,
-        )
+        result = run_grid((benchmark,), ("baseline",), scale=scale,
+                          config=config).get(benchmark, "baseline")
         points.append((
             units, result.ipc, result.counters.issue_stalls_collector,
         ))

@@ -14,7 +14,8 @@ Keys are content hashes over everything that determines a run's output:
 * the design name and the *effective* instruction window (0 for
   designs that ignore it);
 * the :class:`~repro.experiments.runner.RunScale`;
-* the default machine configuration (``GPUConfig()`` field by field);
+* the machine configuration (``GPUConfig()`` field by field, or the
+  grid point's override) and the point's ``BOWConfig`` override, if any;
 * :data:`CACHE_SCHEMA_VERSION`.
 
 Values are :class:`~repro.gpu.sm.SimulationResult` payloads in the
@@ -48,7 +49,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Hashable, Optional, Union
 
-from ..config import GPUConfig
+from ..config import BOWConfig, GPUConfig
 from ..errors import KernelError
 from ..kernels.serialize import result_from_dict, result_to_dict
 from ..kernels.suites import get_profile
@@ -97,11 +98,13 @@ def run_key(
     window_size: int,
     scale: "RunScale",
     config: Optional[GPUConfig] = None,
+    bow: Optional[BOWConfig] = None,
 ) -> str:
     """Content hash identifying one run of the experiment grid.
 
     ``window_size`` should be the *effective* window (0 for designs
-    that ignore it) so equivalent runs share an entry.
+    that ignore it) so equivalent runs share an entry.  ``bow`` enters
+    the payload only when set, so keys without it never change.
     """
     profile = get_profile(benchmark)
     payload = {
@@ -113,6 +116,8 @@ def run_key(
         "scale": _jsonable(scale),
         "gpu": _jsonable(config or GPUConfig()),
     }
+    if bow is not None:
+        payload["bow"] = _jsonable(bow)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

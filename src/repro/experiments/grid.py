@@ -38,6 +38,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..config import BOWConfig, GPUConfig
 from ..errors import ExperimentError, SweepPointError
 from ..gpu.sm import SimulationResult
 from ..stats.cache import CacheStats
@@ -94,11 +95,15 @@ def using_jobs(jobs: Optional[int]):
 
 @dataclass(frozen=True)
 class GridPoint:
-    """One cell of the experiment grid."""
+    """One cell of the experiment grid, optionally a machine (``config``)
+    or BOW (``bow``) variant; both overrides enter the point's
+    :func:`~repro.experiments.cache.run_key`."""
 
     benchmark: str
     design: str
     window: int
+    config: Optional[GPUConfig] = None
+    bow: Optional[BOWConfig] = None
 
     def label(self) -> str:
         suffix = f" IW{self.window}" if self.window else ""
@@ -252,14 +257,15 @@ class GridResult:
 
 
 def _grid_worker(benchmark: str, design: str, window: int,
-                 scale: RunScale) -> SimulationResult:
+                 scale: RunScale, config: Optional[GPUConfig],
+                 bow: Optional[BOWConfig]) -> SimulationResult:
     """Simulate one grid point (in a pool worker, or in-process).
 
     Looks ``runner.execute_run`` up at call time, so the fault
     injector's hook is honoured in every worker.
     """
     return runner.execute_run(benchmark, design, window_size=window,
-                              scale=scale)
+                              scale=scale, config=config, bow=bow)
 
 
 _CACHE_DEFAULT = object()
@@ -277,6 +283,8 @@ def run_grid(
     strict: bool = True,
     telemetry=None,
     points: Optional[Sequence[GridPoint]] = None,
+    config: Optional[GPUConfig] = None,
+    bow: Optional[BOWConfig] = None,
 ) -> GridResult:
     """Resolve the full ``benchmarks x designs x windows`` grid.
 
@@ -292,7 +300,13 @@ def run_grid(
             item is a :class:`GridPoint` (or a ``(benchmark, design,
             window)`` tuple); windows are normalized to each design's
             effective window and duplicates collapse, exactly as in
-            the cross-product path.
+            the cross-product path.  Two points that share a
+            ``(benchmark, design, window)`` cell but differ in their
+            ``config``/``bow`` overrides raise
+            :class:`~repro.errors.ExperimentError`.
+        config, bow: the :class:`GridPoint` overrides given to every
+            point of the cross-product (explicit ``points`` carry
+            their own).
         scale: run size; also the source of every point's memory seed.
         jobs: worker processes; ``None`` uses :func:`default_jobs`,
             ``1`` runs serially in-process (no executor).
@@ -326,22 +340,40 @@ def run_grid(
         requested = [point if isinstance(point, GridPoint)
                      else GridPoint(*point) for point in points]
     else:
-        requested = [GridPoint(benchmark, design, window)
+        requested = [GridPoint(benchmark, design, window, config, bow)
                      for benchmark in benchmarks
                      for design in designs
                      for window in windows]
-    for design in {point.design for point in requested}:
-        runner.validate_design(design)
+    for design, window, bow in {(point.design, point.window, point.bow)
+                                for point in requested}:
+        spec = runner.design_spec(design)
+        if bow is not None and (spec.bow_config is None
+                                or bow.window_size != window):
+            raise ExperimentError(
+                f"{design} IW{window} takes no bow override {bow}: it "
+                f"needs a BOW organization at the override's window")
 
     points = []
-    seen = set()
+    digests: Dict[GridPoint, str] = {}
+    seen: Dict[Tuple[str, str, int], str] = {}
     for point in requested:
         effective = runner.effective_window(point.design, point.window)
         key = (point.benchmark.upper(), point.design, effective)
+        digest = run_key(point.benchmark, point.design, effective, scale,
+                         point.config, point.bow)
         if key in seen:
+            if seen[key] != digest:
+                raise ExperimentError(
+                    f"{point.label()} appears with two different "
+                    f"config/bow overrides; run each variant in its own "
+                    f"grid"
+                )
             continue
-        seen.add(key)
-        points.append(GridPoint(point.benchmark, point.design, effective))
+        seen[key] = digest
+        point = GridPoint(point.benchmark, point.design, effective,
+                          point.config, point.bow)
+        digests[point] = digest
+        points.append(point)
     if not points:
         raise ExperimentError("empty grid: no benchmarks/designs/windows")
 
@@ -429,11 +461,9 @@ def run_grid(
 
     # Layer 1 + 2: memo, then disk.
     pending: List[GridPoint] = []
-    digests: Dict[GridPoint, str] = {}
     for point in points:
         key = (point.benchmark.upper(), point.design, point.window)
-        digest = digests[point] = run_key(point.benchmark, point.design,
-                                          point.window, scale)
+        digest = digests[point]
         memoized = runner.memo_lookup(digest)
         if memoized is not None:
             result.results[key] = memoized
@@ -462,7 +492,8 @@ def run_grid(
 
     map_with_retry(
         _grid_worker,
-        [(point, (point.benchmark, point.design, point.window, scale))
+        [(point, (point.benchmark, point.design, point.window, scale,
+                  point.config, point.bow))
          for point in pending],
         policy, finish, fail, jobs=jobs, initializer=_pool_initializer,
         label=GridPoint.label,

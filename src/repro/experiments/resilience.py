@@ -128,12 +128,16 @@ class RetryPolicy:
         """Seconds to wait after failed attempt number ``attempt`` (1-based).
 
         Deterministic exponential backoff:
-        ``min(backoff_max, backoff_base * backoff_factor**(attempt-1))``.
+        ``min(backoff_max, backoff_base * backoff_factor**(attempt-1))``,
+        which stays ``backoff_max`` once the power overflows a float.
         """
         if attempt < 1:
             raise ExperimentError("attempt numbers are 1-based")
-        return min(self.backoff_max,
-                   self.backoff_base * self.backoff_factor ** (attempt - 1))
+        try:
+            growth = self.backoff_factor ** (attempt - 1)
+        except OverflowError:
+            return self.backoff_max if self.backoff_base else 0.0
+        return min(self.backoff_max, self.backoff_base * growth)
 
     def should_retry(self, kind: str, attempt: int) -> bool:
         """Whether a failure of ``kind`` on attempt ``attempt`` retries."""

@@ -42,6 +42,7 @@ import contextlib
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
+from ..config import BOWConfig, GPUConfig
 from ..core.bow_sm import simulate_design
 from ..core.designs import DesignSpec, get_design, known_designs
 from ..errors import ExperimentError
@@ -315,14 +316,17 @@ def execute_run(
     design: str,
     window_size: int = 3,
     scale: RunScale = QUICK,
+    config: Optional[GPUConfig] = None,
+    bow: Optional[BOWConfig] = None,
 ) -> SimulationResult:
     """Simulate one design point, bypassing every cache.
 
     This is the single place the experiment layer invokes the timing
     simulator; ``run_design`` and the grid workers both come through
     here, which is what makes the invocation counter trustworthy.
-    A scale with ``num_sms > 1`` routes through the device layer
-    (:mod:`repro.gpu.device`) and yields the merged device result;
+    ``config`` and ``bow`` are a :class:`~repro.experiments.grid.GridPoint`'s
+    overrides.  A scale with ``num_sms > 1`` routes through the device
+    layer (:mod:`repro.gpu.device`) and yields the merged device result;
     ``num_sms = 1`` is the unchanged single-SM path.
     """
     global _simulations_run
@@ -337,12 +341,12 @@ def execute_run(
         jobs, executor = _device_dispatch
         return simulate_device(
             design, trace, num_sms=scale.num_sms, window_size=window_size,
-            memory_seed=scale.memory_seed, jobs=jobs, executor=executor,
-            fast_forward=_fast_forward,
+            config=config, memory_seed=scale.memory_seed, jobs=jobs,
+            executor=executor, fast_forward=_fast_forward, bow=bow,
         ).to_simulation_result()
     return simulate_design(
-        design, trace, window_size=window_size, memory_seed=scale.memory_seed,
-        fast_forward=_fast_forward,
+        design, trace, window_size=window_size, config=config,
+        memory_seed=scale.memory_seed, fast_forward=_fast_forward, bow=bow,
     )
 
 

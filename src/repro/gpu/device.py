@@ -43,7 +43,7 @@ import time
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..config import GPUConfig
+from ..config import BOWConfig, GPUConfig
 from ..errors import SimulationError
 from ..kernels.trace import KernelTrace, WarpTrace
 from ..stats.counters import Counters
@@ -262,15 +262,17 @@ class DeviceResult:
         )
 
 
-def _run_sm(args: Tuple[str, KernelTrace, int, Optional[GPUConfig], int, bool],
+def _run_sm(args: Tuple[str, KernelTrace, int, Optional[GPUConfig], int, bool,
+                        Optional[BOWConfig]],
             recorder=None) -> SimulationResult:
     """Simulate one SM partition; the unit of (possibly remote) dispatch."""
-    design, sm_trace, window_size, config, memory_seed, fast_forward = args
+    design, sm_trace, window_size, config, memory_seed, fast_forward, bow = args
     from ..core.bow_sm import simulate_design
 
     return simulate_design(design, sm_trace, window_size=window_size,
                            config=config, memory_seed=memory_seed,
-                           recorder=recorder, fast_forward=fast_forward)
+                           recorder=recorder, fast_forward=fast_forward,
+                           bow=bow)
 
 
 def default_device_jobs(num_sms: int) -> int:
@@ -293,6 +295,7 @@ def simulate_device(
     recorder_factory: Optional[Callable[[int], object]] = None,
     progress: Optional[Callable[[str], None]] = None,
     fast_forward: bool = True,
+    bow: Optional[BOWConfig] = None,
 ) -> DeviceResult:
     """Simulate ``design`` over ``trace`` at device scale.
 
@@ -326,6 +329,8 @@ def simulate_device(
         progress: optional callback receiving one line per finished SM.
         fast_forward: forwarded to every SM engine; ``False`` ticks
             each engine cycle-by-cycle (the event-horizon kill switch).
+        bow: a :class:`BOWConfig` override for every SM's collectors
+            (see :func:`repro.core.bow_sm.simulate_design`).
 
     Raises:
         SimulationError: on an invalid configuration, or — after every
@@ -360,7 +365,7 @@ def simulate_device(
 
     work = [
         (sm.sm_id, ((design, sm.trace, window_size, config, memory_seed,
-                     fast_forward),
+                     fast_forward, bow),
                     None if recorders is None else recorders[sm.sm_id]))
         for sm in partition.sms
     ]

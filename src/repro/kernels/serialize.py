@@ -58,8 +58,14 @@ def _instruction_from_dict(data: Dict) -> Instruction:
         raise KernelError("instruction record missing 'op'") from None
     guard = None
     if "guard" in data:
-        pred_id, negated = data["guard"]
-        guard = Predicate(pred_id, negated=bool(negated))
+        guard = data["guard"]
+        if not (isinstance(guard, list) and len(guard) == 2
+                and type(guard[0]) is int and isinstance(guard[1], bool)):
+            raise KernelError(
+                f"instruction guard must be [predicate id, negated], "
+                f"got {guard!r}"
+            )
+        guard = Predicate(guard[0], negated=guard[1])
     hint = WritebackHint[data["hint"]] if "hint" in data else WritebackHint.BOTH
     return Instruction(
         opcode=opcode,

@@ -313,10 +313,11 @@ def install(plan: FaultPlan) -> FaultPlan:
     original_write_line = Journal._write_line
     original_send = SweepServer._send
 
-    def execute_run(benchmark, design, window_size=3, scale=runner.QUICK):
+    def execute_run(benchmark, design, window_size=3, scale=runner.QUICK,
+                    config=None, bow=None):
         plan.fire_run_faults(benchmark, design, window_size)
         return original_execute(benchmark, design, window_size=window_size,
-                                scale=scale)
+                                scale=scale, config=config, bow=bow)
 
     def _read_text(self, path):
         plan.fire_cache_read(path.stem)

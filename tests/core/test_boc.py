@@ -9,7 +9,7 @@ import pytest
 
 from repro.config import BOWConfig, WritebackPolicy, baseline_config
 from repro.core.boc import BOWCollectors
-from repro.core.bow_sm import simulate_bow
+from repro.core.bow_sm import simulate_design
 from repro.errors import SimulationError
 from repro.gpu.sm import SMEngine
 from repro.isa import WritebackHint, parse_program
@@ -25,7 +25,7 @@ def single_warp(text):
 def run(text, policy, window_size=3, capacity=None):
     bow = BOWConfig(window_size=window_size, writeback=policy,
                     capacity_entries=capacity)
-    return simulate_bow(single_warp(text), bow=bow)
+    return simulate_design("bow", single_warp(text), bow=bow)
 
 
 CHAIN = """
@@ -128,8 +128,7 @@ class TestCompilerHints:
             add.u32 $r2, $r1, $r1
             st.global.u32 [$r4], $r2
         """, [WritebackHint.OC_ONLY, WritebackHint.OC_ONLY, None])
-        bow = BOWConfig(writeback=WritebackPolicy.COMPILER)
-        result = simulate_bow(trace, bow=bow)
+        result = simulate_design("bow-wr", trace)
         assert result.counters.rf_writes == 0
         assert result.counters.bypassed_writes == 2
         assert list(result.memory_image.values()) == [6]
@@ -139,8 +138,7 @@ class TestCompilerHints:
             mov.u32 $r1, 0x3
             st.global.u32 [$r4], $r5
         """, [WritebackHint.RF_ONLY, None])
-        bow = BOWConfig(writeback=WritebackPolicy.COMPILER)
-        result = simulate_bow(trace, bow=bow)
+        result = simulate_design("bow-wr", trace)
         counters = result.counters
         assert counters.rf_writes == 1
         # The only BOC fills are the store's two read misses; the
@@ -155,8 +153,7 @@ class TestCompilerHints:
             mov.u32 $r1, 0x9
             add.u32 $r2, $r1, $r1
         """, [WritebackHint.RF_ONLY, None])
-        bow = BOWConfig(writeback=WritebackPolicy.COMPILER)
-        result = simulate_bow(trace, bow=bow)
+        result = simulate_design("bow-wr", trace)
         assert result.register_image[(0, 2)] == 18
 
     def test_both_written_on_slide_out(self):
@@ -172,8 +169,7 @@ class TestCompilerHints:
             st.global.u32 [$r9], $r3
         """, [WritebackHint.BOTH, WritebackHint.OC_ONLY, None, None, None,
               WritebackHint.OC_ONLY, None])
-        bow = BOWConfig(writeback=WritebackPolicy.COMPILER)
-        result = simulate_bow(trace, bow=bow)
+        result = simulate_design("bow-wr", trace)
         assert list(result.memory_image.values()) == [4]  # $r1 came from RF
         assert result.counters.rf_writes == 1  # only $r1's BOTH write
 

@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.core.bow_sm import DESIGNS, simulate_bow, simulate_design
+from repro.core.bow_sm import simulate_design
+from repro.core.designs import design_specs
 from repro.errors import SimulationError
 
 
 class TestRegistry:
     def test_known_designs(self):
-        assert set(DESIGNS) == {
-            "baseline", "bow", "bow-wb", "bow-wr", "bow-wr-half",
+        assert {spec.name for spec in design_specs()
+                if spec.bow_config is not None} == {
+            "bow", "bow-wb", "bow-wr", "bow-wr-half",
         }
 
     def test_unknown_design_raises(self, small_trace):
@@ -98,9 +100,7 @@ class TestWindowSweep:
         assert counters.total_writes <= small_trace.total_writes
 
     def test_bigger_window_bypasses_more(self, small_trace):
-        from repro.config import bow_config
-
-        r5 = simulate_bow(small_trace, bow=bow_config(5), memory_seed=11)
+        r5 = simulate_design("bow", small_trace, 5, memory_seed=11)
         assert (r5.counters.read_bypass_rate
-                >= simulate_bow(small_trace, bow=bow_config(2),
-                                memory_seed=11).counters.read_bypass_rate)
+                >= simulate_design("bow", small_trace, 2,
+                                   memory_seed=11).counters.read_bypass_rate)

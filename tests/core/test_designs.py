@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.bow_sm import DESIGNS, simulate_design
+from repro.config import BOWConfig, bow_wb_config
+from repro.core.bow_sm import simulate_design
 from repro.core.designs import (
     DesignSpec,
     design_names,
@@ -60,13 +61,6 @@ class TestRegistryContents:
     def test_known_designs_joins_names(self):
         assert known_designs() == ", ".join(design_names())
 
-    def test_designs_compat_view(self):
-        # The legacy mapping exposes exactly the BOW-config designs
-        # (rfc has no BOWConfig and is absent).
-        assert set(DESIGNS) == set(PAPER_DESIGNS) - {"rfc"}
-        assert DESIGNS["bow"](3).window_size == 3
-        assert not DESIGNS["baseline"](3).enabled
-
 
 class TestRegistration:
     def test_duplicate_name_rejected(self):
@@ -99,6 +93,37 @@ class TestRegistration:
         with temporary_design(_spec("test-run-design")):
             result = simulate_design("test-run-design", trace)
         assert result.register_image[(0, 1)] == 2
+
+
+class TestBowOverride:
+    TRACE = KernelTrace(name="t", warps=[WarpTrace(
+        warp_id=0, instructions=parse_program("""
+            mov.u32 $r1, 0x1
+            mov.u32 $r2, 0x2
+            mov.u32 $r3, 0x3
+            add.u32 $r4, $r1, $r2
+            add.u32 $r5, $r4, $r3
+            st.global.u32 [$r6], $r5
+        """))])
+
+    def test_default_config_override_is_the_design(self):
+        plain = simulate_design("bow-wb", self.TRACE)
+        override = simulate_design("bow-wb", self.TRACE,
+                                   bow=bow_wb_config(3))
+        assert override.counters == plain.counters
+
+    def test_override_replaces_the_design_config(self):
+        starved = BOWConfig(window_size=3, capacity_entries=1,
+                            writeback=bow_wb_config(3).writeback)
+        result = simulate_design("bow-wb", self.TRACE, bow=starved)
+        assert result.counters.boc_evictions > 0
+        assert simulate_design(
+            "bow-wb", self.TRACE).counters.boc_evictions == 0
+
+    @pytest.mark.parametrize("design", ["baseline", "rfc"])
+    def test_non_bow_design_rejects_override(self, design):
+        with pytest.raises(SimulationError, match="not a BOW organization"):
+            simulate_design(design, self.TRACE, bow=bow_wb_config(3))
 
 
 class TestErrorParity:

@@ -4,12 +4,19 @@ import pytest
 
 from repro.experiments.ablations import (
     capacity_sweep,
+    collector_count_ablation,
     effective_rf_study,
     eviction_ablation,
     scheduler_ablation,
     window_sweep,
 )
-from repro.experiments.runner import RunScale, clear_cache
+from repro.experiments.runner import (
+    RunScale,
+    clear_cache,
+    set_cache,
+    simulations_run,
+)
+from repro.gpu.sm import SMEngine
 
 TINY = RunScale(num_warps=4, trace_scale=0.1)
 FEW = ("SAD", "WP")
@@ -74,6 +81,43 @@ class TestWindowSweep:
         result = window_sweep("SAD", windows=(2, 3, 12), scale=TINY)
         rates = {iw: rate for iw, rate, _ in result.points}
         assert rates[3] - rates[2] >= (rates[12] - rates[3]) / 3
+
+
+class TestAblationsAreGridPoints:
+    def test_warm_pass_simulates_nothing(self, monkeypatch):
+        engine_runs = []
+        real_run = SMEngine.run
+
+        def counted_run(engine):
+            engine_runs.append(engine)
+            return real_run(engine)
+
+        monkeypatch.setattr(SMEngine, "run", counted_run)
+
+        def one_pass():
+            scheduler_ablation(benchmarks=FEW, scale=TINY)
+            eviction_ablation(benchmarks=FEW, capacity=3, scale=TINY)
+            capacity_sweep("SAD", scale=TINY)
+            collector_count_ablation("SAD", scale=TINY)
+
+        clear_cache()
+        previous = set_cache(None)
+        try:
+            before = simulations_run()
+            one_pass()
+            cold = simulations_run() - before
+            # Every engine run is counted: 12 scheduler + 4 eviction
+            # + 5 capacity + 3 collector-count points.  The others are
+            # points already run (GTO and one OCU count are the
+            # defaults; SAD at capacity 3 FIFO is an eviction point)
+            # and come from the memo.
+            assert cold == len(engine_runs) == 24
+            one_pass()
+            assert simulations_run() - before == cold
+            assert len(engine_runs) == cold
+        finally:
+            set_cache(previous)
+            clear_cache()
 
 
 class TestEffectiveRf:

@@ -56,6 +56,29 @@ class TestRunKey:
                        RunScale(num_warps=2, trace_scale=0.1,
                                 memory_seed=8)) != base
 
+    def test_keys_without_overrides_are_pinned(self):
+        # Adding the override fields must not move any existing entry.
+        from repro.experiments.runner import QUICK
+
+        assert run_key("SAD", "bow", 3, QUICK) == (
+            "6ac0d08c5867927dfa52f0826325fe3958a0b01c71f62c1c10a386412e7348e4")
+        assert run_key("SAD", "baseline", 0, QUICK) == (
+            "c829ecd5640567f11622aad2e4fedd53ec8a5da1eb3381d608e1ba8bc9f5eded")
+        assert CACHE_SCHEMA_VERSION == 1
+
+    def test_overrides_change_the_key(self):
+        from repro.config import GPUConfig, SchedulerPolicy, bow_wb_config
+
+        base = run_key("SAD", "bow-wb", 3, TINY)
+        lrr = GPUConfig(scheduler_policy=SchedulerPolicy.LRR)
+        assert run_key("SAD", "bow-wb", 3, TINY, config=lrr) != base
+        assert run_key("SAD", "bow-wb", 3, TINY, config=GPUConfig()) == base
+        assert run_key("SAD", "bow-wb", 3, TINY,
+                       bow=bow_wb_config(3)) != base
+        assert (run_key("SAD", "bow-wb", 3, TINY,
+                        bow=bow_wb_config(3).half_size())
+                != run_key("SAD", "bow-wb", 3, TINY, bow=bow_wb_config(3)))
+
     def test_machine_config_invalidates(self):
         from repro.config import GPUConfig
 

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.config import BOWConfig, GPUConfig, WritebackPolicy
+from repro.core.bow_sm import simulate_design
 from repro.errors import ExperimentError
 from repro.experiments.cache import RunCache
 from repro.experiments.grid import (
+    GridPoint,
     default_jobs,
     run_grid,
     set_default_jobs,
@@ -12,6 +15,7 @@ from repro.experiments.grid import (
 )
 from repro.experiments.runner import (
     RunScale,
+    benchmark_trace,
     clear_cache,
     run_design,
     set_cache,
@@ -108,6 +112,99 @@ class TestExplicitPoints:
         with pytest.raises(ExperimentError):
             run_grid((), (), (), scale=TINY, cache=None,
                      points=[("BFS", "quantum", 3)])
+
+
+class TestPointOverrides:
+    """Grid points naming a machine (``config``) or BOW variant (``bow``)."""
+
+    FEW_OCUS = GPUConfig(num_operand_collectors=2)
+    STARVED = BOWConfig(window_size=3, writeback=WritebackPolicy.WRITE_BACK,
+                        capacity_entries=2)
+
+    def test_two_variants_of_one_cell_raise(self):
+        with pytest.raises(ExperimentError, match="two different"):
+            run_grid((), (), scale=TINY, cache=None, points=[
+                GridPoint("BFS", "baseline", 3),
+                GridPoint("BFS", "baseline", 3, config=self.FEW_OCUS),
+            ])
+        with pytest.raises(ExperimentError, match="two different"):
+            run_grid((), (), scale=TINY, cache=None, points=[
+                GridPoint("BFS", "bow-wb", 3, bow=self.STARVED),
+                GridPoint("BFS", "bow-wb", 3),
+            ])
+
+    def test_default_config_is_the_plain_point(self):
+        grid = run_grid((), (), scale=TINY, cache=None, points=[
+            GridPoint("BFS", "baseline", 3),
+            GridPoint("BFS", "baseline", 3, config=GPUConfig()),
+        ])
+        assert grid.simulated == 1
+
+    def test_overrides_reach_the_engine(self):
+        grid = run_grid((), (), scale=TINY, cache=None, points=[
+            GridPoint("SAD", "baseline", 3, config=self.FEW_OCUS),
+            GridPoint("SAD", "bow-wb", 3, bow=self.STARVED),
+        ])
+        trace = benchmark_trace("SAD", TINY)
+        seed = TINY.memory_seed
+        assert grid.get("SAD", "baseline") == simulate_design(
+            "baseline", trace, config=self.FEW_OCUS, memory_seed=seed)
+        assert grid.get("SAD", "bow-wb") == simulate_design(
+            "bow-wb", trace, bow=self.STARVED, memory_seed=seed)
+        assert grid.get("SAD", "bow-wb").counters.boc_evictions > 0
+        # The cross-product form applies the overrides to every point.
+        product = run_grid(("SAD",), ("baseline",), scale=TINY, cache=None,
+                           config=self.FEW_OCUS)
+        assert product.from_memo == 1
+        assert product.get("SAD", "baseline") == grid.get("SAD", "baseline")
+
+    def test_variant_is_cached_and_distinct(self, tmp_path):
+        point = GridPoint("SAD", "bow-wb", 3, bow=self.STARVED)
+        cache = RunCache(tmp_path / "runs")
+        cold = run_grid((), (), scale=TINY, cache=cache, points=[point])
+        plain = run_grid(("SAD",), ("bow-wb",), scale=TINY, cache=cache)
+        assert cold.simulated == plain.simulated == 1
+        clear_cache()
+        before = simulations_run()
+        warm = run_grid((), (), scale=TINY, cache=cache, points=[point])
+        assert warm.from_cache == 1 and simulations_run() == before
+        assert warm.get("SAD", "bow-wb") == cold.get("SAD", "bow-wb")
+        assert warm.get("SAD", "bow-wb") != plain.get("SAD", "bow-wb")
+
+    def test_device_points_carry_overrides(self):
+        from repro.gpu.device import simulate_device
+
+        scale = RunScale(num_warps=8, trace_scale=0.1, num_sms=2)
+        grid = run_grid((), (), scale=scale, cache=None, points=[
+            GridPoint("SAD", "bow-wb", 3, config=self.FEW_OCUS,
+                      bow=self.STARVED),
+        ])
+        direct = simulate_device(
+            "bow-wb", benchmark_trace("SAD", scale), num_sms=2,
+            config=self.FEW_OCUS, bow=self.STARVED,
+            memory_seed=scale.memory_seed).to_simulation_result()
+        assert grid.get("SAD", "bow-wb") == direct
+
+    def test_process_workers_receive_overrides(self):
+        points = [GridPoint("SAD", "baseline", 3, config=self.FEW_OCUS),
+                  GridPoint("SAD", "bow-wb", 3, bow=self.STARVED)]
+        parallel = run_grid((), (), scale=TINY, jobs=2, cache=None,
+                            points=points)
+        clear_cache()
+        serial = run_grid((), (), scale=TINY, jobs=1, cache=None,
+                          points=points)
+        assert parallel.results == serial.results
+
+    @pytest.mark.parametrize("design", ["baseline", "rfc"])
+    def test_bow_override_needs_a_bow_design(self, design):
+        with pytest.raises(ExperimentError, match="needs a BOW organization"):
+            run_grid((), (), scale=TINY, cache=None, points=[
+                GridPoint("BFS", design, 3, bow=self.STARVED)])
+
+    def test_bow_override_needs_the_point_window(self):
+        with pytest.raises(ExperimentError, match="override's window"):
+            run_grid((), (), scale=TINY, cache=None, points=[
+                GridPoint("BFS", "bow-wb", 4, bow=self.STARVED)])
 
 
 class TestSerialParity:

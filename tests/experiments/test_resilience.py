@@ -64,6 +64,12 @@ class TestRetryPolicy:
         assert policy.delay(2) == pytest.approx(0.2)
         assert policy.delay(3) == pytest.approx(0.3)  # capped
         assert policy.delay(9) == pytest.approx(0.3)
+        # The power overflows a float long before attempts run out.
+        assert RetryPolicy(max_attempts=2000).delay(1025) == 2.0
+        assert RetryPolicy(max_attempts=2000,
+                           backoff_factor=10.0).delay(400) == 2.0
+        assert RetryPolicy(max_attempts=2000,
+                           backoff_base=0.0).delay(1025) == 0.0
 
     def test_transient_retries_permanent_does_not(self):
         policy = RetryPolicy(max_attempts=3)

@@ -109,6 +109,22 @@ class TestErrors:
         with pytest.raises(KernelError):
             load_trace(path)
 
+    @pytest.mark.parametrize("guard", [
+        [], [0], [0, 1, 2], [{}, False], ["x", True],
+    ], ids=["empty", "short", "long", "dict-id", "str-id"])
+    def test_malformed_guard_is_a_kernel_error(self, guard):
+        from repro.kernels.external import (
+            TraceCase,
+            case_from_records,
+            case_to_records,
+        )
+
+        records = list(case_to_records(TraceCase(small_trace())))
+        guarded = next(r for r in records if "guard" in r)
+        guarded["guard"] = guard
+        with pytest.raises(KernelError, match="guard"):
+            case_from_records(records)
+
     def test_bad_pool_index(self):
         data = trace_to_dict(small_trace())
         data["warps"][0]["instructions"] = [999]

@@ -15,7 +15,8 @@ from typing import Dict, Tuple
 import pytest
 from tests.conftest import SEED, small_spec
 
-from repro.core.bow_sm import DESIGNS, simulate_design
+from repro.core.bow_sm import simulate_design
+from repro.core.designs import design_names, design_specs
 from repro.gpu.reference import ReferenceResult, execute_reference
 from repro.gpu.sm import SimulationResult
 from repro.kernels.synthetic import generate_compiled_trace, generate_trace
@@ -26,12 +27,13 @@ from repro.stats.trace import TraceRecorder
 #: full designs x benchmarks matrix stays fast).
 ORACLE_BENCHMARKS = ("NW", "BFS", "SAD")
 
-#: Every runnable design: the registry plus the RFC comparison point.
-ALL_DESIGNS = tuple(sorted(DESIGNS)) + ("rfc",)
+#: Every registered design.
+ALL_DESIGNS = design_names()
 
 #: Designs that leave dead (compiler-transient) values out of the RF;
 #: their final register file is a *subset* of the reference image.
-HINTED_DESIGNS = frozenset({"bow-wr", "bow-wr-half"})
+HINTED_DESIGNS = frozenset(spec.name for spec in design_specs()
+                           if spec.hinted)
 
 #: Ring capacity large enough to retain every event of these runs.
 CAPACITY = 1 << 18

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import BOWConfig, WritebackPolicy
-from repro.core.bow_sm import simulate_bow, simulate_design
+from repro.core.bow_sm import simulate_design
 from repro.core.designs import design_names
 from repro.experiments.runner import QUICK, benchmark_trace, design_spec
 from repro.fuzz.generator import FuzzConfig, generate_case
@@ -107,10 +107,8 @@ class TestWriteThroughReconciliation:
     @settings(max_examples=30, deadline=None)
     def test_totals_reconcile(self, trace, window, seed):
         recorder = TraceRecorder()
-        bow = BOWConfig(window_size=window,
-                        writeback=WritebackPolicy.WRITE_THROUGH)
-        result = simulate_bow(trace, bow=bow, memory_seed=seed,
-                              recorder=recorder)
+        result = simulate_design("bow", trace, window, memory_seed=seed,
+                                 recorder=recorder)
         _reconcile(recorder, result.counters)
         # Write-through never eliminates writes nor evicts dirty values.
         assert recorder.count(EventKind.WRITE_ELIMINATED) == 0
@@ -129,8 +127,8 @@ class TestWriteBackReconciliation:
         bow = BOWConfig(window_size=window,
                         writeback=WritebackPolicy.WRITE_BACK,
                         capacity_entries=capacity)
-        result = simulate_bow(trace, bow=bow, memory_seed=1,
-                              recorder=recorder)
+        result = simulate_design("bow-wb", trace, bow=bow, memory_seed=1,
+                                 recorder=recorder)
         _reconcile(recorder, result.counters)
 
 
@@ -191,7 +189,7 @@ class TestConservationLaws:
         bow = BOWConfig(window_size=window,
                         writeback=WritebackPolicy.WRITE_BACK,
                         capacity_entries=capacity)
-        result = simulate_bow(trace, bow=bow, memory_seed=1)
+        result = simulate_design("bow-wb", trace, bow=bow, memory_seed=1)
         assert_conserved(result.counters, source_operands(trace),
                          rf_destinations(trace))
 

@@ -41,10 +41,10 @@ class TestExports:
         from repro import build_benchmark_trace, simulate_design  # noqa: F401
 
     def test_designs_cover_paper(self):
-        from repro.core import DESIGNS
+        from repro.core import design_names
 
         assert {"baseline", "bow", "bow-wb", "bow-wr",
-                "bow-wr-half"} <= set(DESIGNS)
+                "bow-wr-half", "rfc"} <= set(design_names())
 
 
 class TestMinimalFlows:

@@ -18,7 +18,7 @@ from repro.compiler.writeback import (
     hint_distribution,
 )
 from repro.config import BOWConfig, WritebackPolicy
-from repro.core.bow_sm import simulate_bow
+from repro.core.bow_sm import simulate_design
 from repro.core.window import (
     read_bypass_counts,
     write_bypass_opportunity_counts,
@@ -193,9 +193,7 @@ class TestBypassingPreservesSemantics:
     def test_write_through_matches_reference(self, program, window, seed):
         trace = _trace(program)
         reference = execute_reference(trace, memory_seed=seed)
-        bow = BOWConfig(window_size=window,
-                        writeback=WritebackPolicy.WRITE_THROUGH)
-        result = simulate_bow(trace, bow=bow, memory_seed=seed)
+        result = simulate_design("bow", trace, window, memory_seed=seed)
         assert result.memory_image == reference.memory
         for key, value in reference.registers.items():
             assert result.register_image[key] == value
@@ -210,7 +208,7 @@ class TestBypassingPreservesSemantics:
         bow = BOWConfig(window_size=window,
                         writeback=WritebackPolicy.WRITE_BACK,
                         capacity_entries=capacity)
-        result = simulate_bow(trace, bow=bow, memory_seed=1)
+        result = simulate_design("bow-wb", trace, bow=bow, memory_seed=1)
         assert result.memory_image == reference.memory
         for key, value in reference.registers.items():
             assert result.register_image[key] == value
@@ -228,9 +226,7 @@ class TestBypassingPreservesSemantics:
         ]
         trace = _trace(hinted)
         reference = execute_reference(trace, memory_seed=2)
-        bow = BOWConfig(window_size=window,
-                        writeback=WritebackPolicy.COMPILER)
-        result = simulate_bow(trace, bow=bow, memory_seed=2)
+        result = simulate_design("bow-wr", trace, window, memory_seed=2)
         assert result.memory_image == reference.memory
 
     @given(programs(max_size=20), st.integers(min_value=0, max_value=3))
@@ -251,18 +247,14 @@ class TestCounterInvariants:
     @settings(max_examples=40, deadline=None)
     def test_reads_partition(self, program, window):
         trace = _trace(program)
-        bow = BOWConfig(window_size=window,
-                        writeback=WritebackPolicy.WRITE_BACK)
-        counters = simulate_bow(trace, bow=bow).counters
+        counters = simulate_design("bow-wb", trace, window).counters
         assert counters.total_reads == trace.total_reads
 
     @given(programs(max_size=25), st.integers(min_value=1, max_value=5))
     @settings(max_examples=40, deadline=None)
     def test_writes_partition(self, program, window):
         trace = _trace(program)
-        bow = BOWConfig(window_size=window,
-                        writeback=WritebackPolicy.WRITE_BACK)
-        counters = simulate_bow(trace, bow=bow).counters
+        counters = simulate_design("bow-wb", trace, window).counters
         non_sink_writes = sum(
             1 for inst in program
             if inst.dest is not None and inst.dest.id != 255
